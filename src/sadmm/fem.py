@@ -3,20 +3,26 @@
 The mesh is a structured grid of right triangles, every cell split along the
 same diagonal. The stiffness matrix uses one-point (centroid) quadrature for
 the variable coefficient; Dirichlet conditions are eliminated to an
-interior-only SPD system. State and adjoint loads use the lumped-mass
-weights, so the adjoint-based gradient is the exact gradient of the discrete
-tracking functional.
+interior-only SPD system. In the lexicographic numbering of the interior
+nodes that system is banded, so it is assembled straight into LAPACK upper
+band storage and solved by a banded Cholesky factorization. State and
+adjoint loads use the lumped-mass weights, so the adjoint-based gradient is
+the exact gradient of the discrete tracking functional.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+# Not called: perfbench/child.py wraps fem.splu by name when it traces a run.
+from scipy.sparse.linalg import splu  # noqa: F401
 
 from .hilbert import check_weights, wnorm
 from .linsolve import CgConfig, cg_solve
@@ -81,37 +87,69 @@ def check_sample(xi: np.ndarray) -> np.ndarray:
     return xi
 
 
+def _log_coefficient_modes(x: np.ndarray) -> np.ndarray:
+    """The sample-independent modes of log a(x, xi) = modes(x) @ xi, shape (..., 4)."""
+    x = np.asarray(x, dtype=float)
+    x1 = x[..., 0]
+    x2 = x[..., 1]
+    return np.stack([np.cos(1.1 * np.pi * x1), np.cos(1.2 * np.pi * x1),
+                     np.sin(1.3 * np.pi * x2), np.sin(1.4 * np.pi * x2)],
+                    axis=-1)
+
+
 def coefficient(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Log-trigonometric diffusion field a(x, xi), strictly positive.
 
     Accepts x of shape (2,) or (..., 2); vectorized over leading axes.
     """
-    xi = check_sample(xi)
-    x = np.asarray(x, dtype=float)
-    x1 = x[..., 0]
-    x2 = x[..., 1]
-    exponent = (
-        xi[0] * np.cos(1.1 * np.pi * x1)
-        + xi[1] * np.cos(1.2 * np.pi * x1)
-        + xi[2] * np.sin(1.3 * np.pi * x2)
-        + xi[3] * np.sin(1.4 * np.pi * x2)
-    )
-    return np.exp(exponent)
+    return np.exp(_log_coefficient_modes(x) @ check_sample(xi))
+
+
+def band_cholesky(band: np.ndarray) -> np.ndarray:
+    """Cholesky factor (LAPACK dpbtrf) of an SPD matrix in upper band storage.
+
+    Raises LinAlgError when the matrix is not positive definite, rather than
+    returning a partial factor.
+    """
+    factor, info = dpbtrf(band, lower=0)
+    if info != 0:
+        raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info}): the "
+                          "matrix is not positive definite")
+    return factor
+
+
+def band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A x = rhs given the band_cholesky factor of A (LAPACK dpbtrs)."""
+    x, info = dpbtrs(factor, rhs, lower=0)
+    if info != 0:
+        raise LinAlgError(f"banded Cholesky solve failed (dpbtrs info={info})")
+    return x
 
 
 @dataclass
 class AssembledOperators:
     mesh: StructuredMesh
-    stiffness: sp.csr_matrix  # interior x interior
+    band: np.ndarray  # interior stiffness in upper band storage, (bw + 1, n)
     mass: sp.csr_matrix  # full consistent mass
     lumped: np.ndarray  # row sums of mass, all nodes
-    _lu: object = field(default=None, repr=False)
+    _factor: np.ndarray | None = field(default=None, repr=False)
 
-    def factorized(self):
-        """Cached sparse LU of the interior stiffness (fast repeated solves)."""
-        if self._lu is None:
-            self._lu = splu(self.stiffness.tocsc())
-        return self._lu
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        """Interior stiffness as CSR, built from the band on first use (CG and
+        checks only; the direct solve works on the band)."""
+        bw, n = self.band.shape[0] - 1, self.band.shape[1]
+        # row k of the band holds superdiagonal bw - k, indexed by column
+        upper = sp.dia_matrix((self.band, bw - np.arange(bw + 1)), shape=(n, n))
+        full = (upper + sp.triu(upper, k=1).T).tocsr()
+        full.eliminate_zeros()
+        return full
+
+    def factorized(self) -> np.ndarray:
+        """Cached banded Cholesky factor of the interior stiffness."""
+        if self._factor is None:
+            self._factor = band_cholesky(self.band)
+        return self._factor
 
 
 class _MeshGeometry:
@@ -139,9 +177,9 @@ class _MeshGeometry:
         grads[:, 2, 1] = p1[:, 0] - p0[:, 0]
         grads /= (2.0 * area)[:, None, None]
 
-        self.centroids = (p0 + p1 + p2) / 3.0
+        self.centroid_modes = _log_coefficient_modes((p0 + p1 + p2) / 3.0)
         # geometric stiffness factor area * grad_i . grad_j, shape (m, 3, 3)
-        self.k_geo = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
+        k_geo = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
 
         rows = np.repeat(tri, 3, axis=1).ravel()
         cols = np.tile(tri, (1, 3)).ravel()
@@ -154,14 +192,21 @@ class _MeshGeometry:
         self.lumped = check_weights(np.asarray(self.mass.sum(axis=1)).ravel(),
                                     domain_area=1.0)
 
-        # interior-only scatter pattern for the eliminated stiffness system
+        # scatter of the eliminated (interior-only) stiffness into LAPACK upper
+        # band storage: entry (r, c), r <= c, goes to band[bw + r - c, c]. The
+        # half-bandwidth bw is the widest coupling in the interior numbering.
         int_number = np.full(n, -1, dtype=np.int64)
         int_number[mesh.interior] = np.arange(mesh.interior.size)
-        keep = (int_number[rows] >= 0) & (int_number[cols] >= 0)
-        self.entry_sel = np.nonzero(keep)[0]
-        self.int_rows = int_number[rows[keep]]
-        self.int_cols = int_number[cols[keep]]
-        self.n_interior = mesh.interior.size
+        r = int_number[rows]
+        c = int_number[cols]
+        sel = np.nonzero((r >= 0) & (c >= 0) & (r <= c))[0]
+        r, c = r[sel], c[sel]
+        n_int = mesh.interior.size
+        bw = int((c - r).max(initial=0))
+        self.band_shape = (bw + 1, n_int)
+        self.band_index = (bw + r - c) * n_int + c
+        self.band_k_geo = k_geo.ravel()[sel]
+        self.band_triangle = sel // 9
 
 
 _geometry_cache: "weakref.WeakKeyDictionary[StructuredMesh, _MeshGeometry]" = \
@@ -177,32 +222,35 @@ def _geometry(mesh: StructuredMesh) -> _MeshGeometry:
 
 
 def assemble(mesh: StructuredMesh, xi: np.ndarray) -> AssembledOperators:
-    """Stiffness (coefficient at centroids, Dirichlet rows/cols eliminated),
-    consistent mass, and lumped weights."""
+    """Stiffness (coefficient at centroids, Dirichlet rows/cols eliminated) in
+    upper band storage, consistent mass, and lumped weights."""
     geo = _geometry(mesh)
-    a_c = coefficient(geo.centroids, xi)
-    k_vals = (geo.k_geo * a_c[:, None, None]).ravel()[geo.entry_sel]
-    K_int = sp.coo_matrix((k_vals, (geo.int_rows, geo.int_cols)),
-                          shape=(geo.n_interior, geo.n_interior)).tocsr()
-    return AssembledOperators(mesh=mesh, stiffness=K_int, mass=geo.mass,
-                              lumped=geo.lumped)
+    # the coefficient at the centroids, from modes computed once per mesh
+    a_c = np.exp(geo.centroid_modes @ check_sample(xi))
+    band = np.bincount(geo.band_index,
+                       weights=geo.band_k_geo * a_c[geo.band_triangle],
+                       minlength=geo.band_shape[0] * geo.band_shape[1])
+    return AssembledOperators(mesh=mesh, band=band.reshape(geo.band_shape),
+                              mass=geo.mass, lumped=geo.lumped)
 
 
 def _solve_interior(ops: AssembledOperators, rhs_int: np.ndarray,
                     cfg: CgConfig | None, method: str) -> np.ndarray:
+    if method == "lu":
+        return band_solve(ops.factorized(), rhs_int)
     if method == "cg":
         return cg_solve(ops.stiffness, rhs_int, cfg or CgConfig()).x
-    if method == "lu":
-        return ops.factorized().solve(rhs_int)
     raise ValueError(f"unknown solve method {method!r}")
 
 
 def solve_state(ops: AssembledOperators, u: np.ndarray,
-                cfg: CgConfig | None = None, method: str = "cg") -> np.ndarray:
+                cfg: CgConfig | None = None, method: str = "lu") -> np.ndarray:
     """Solve the discrete state equation K y = W u with zero boundary values.
 
     The load uses the lumped weights W so that the adjoint gradient below is
-    exact for the discrete objective.
+    exact for the discrete objective. method "lu" is the direct solve (a
+    banded Cholesky factorization, cached on ops); "cg" runs Jacobi-
+    preconditioned conjugate gradients with cfg.
     """
     u = np.asarray(u, dtype=float)
     mesh = ops.mesh
@@ -213,8 +261,9 @@ def solve_state(ops: AssembledOperators, u: np.ndarray,
 
 
 def solve_adjoint(ops: AssembledOperators, y: np.ndarray, y_d: np.ndarray,
-                  cfg: CgConfig | None = None, method: str = "cg") -> np.ndarray:
-    """Solve the adjoint equation K p = W (y - y_d) with zero boundary values."""
+                  cfg: CgConfig | None = None, method: str = "lu") -> np.ndarray:
+    """Solve the adjoint equation K p = W (y - y_d) with zero boundary values
+    (method as in solve_state)."""
     y = np.asarray(y, dtype=float)
     y_d = np.asarray(y_d, dtype=float)
     if y.shape != y_d.shape:

@@ -55,7 +55,8 @@ class ExperimentConfig:
     batch_p: float = 1.1
     batch_floor: int = 1
     out_dir: str | None = None
-    # elliptic solver used on the optimization path ("lu" or "cg")
+    # elliptic solver used on the optimization path: "lu" is the banded
+    # Cholesky direct solve, "cg" conjugate gradients
     solve_method: str = "lu"
     u_min: float = -6.0
     u_max: float = 6.0
@@ -158,6 +159,12 @@ def _run_rng(cfg: ExperimentConfig, method: str, run_idx: int):
     return np.random.Generator(np.random.Philox(ss)), run_seed
 
 
+def build_eval_set(cfg: ExperimentConfig, problem) -> FrozenEvalSet:
+    """The frozen evaluation set on which every method of the experiment
+    configured by cfg is scored."""
+    return FrozenEvalSet(problem, cfg.eval_samples, (cfg.seed, _EVAL_TAG))
+
+
 def _estimate_l_hat(cfg: ExperimentConfig, problem) -> float:
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((cfg.seed, _LHAT_TAG))))
@@ -203,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
     skipped so that the remaining runs still complete.
     """
     problem = build_problem(cfg)
-    eval_set = FrozenEvalSet(problem, cfg.eval_samples, (cfg.seed, _EVAL_TAG))
+    eval_set = build_eval_set(cfg, problem)
     batch = batch_schedule(cfg)
 
     needs_l = cfg.regime == "convex" or "spg" in cfg.methods

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from sadmm import fem
-from sadmm.harness import (_EVAL_TAG, ExperimentConfig, build_problem,
+from sadmm.harness import (ExperimentConfig, build_eval_set, build_problem,
                            envelope, fem_verify, fit_rate_slope, grad_check,
                            load_csv, run_experiment, sparsity_table)
 from sadmm.hilbert import project_box, soft_threshold, wdot, wnorm
 from sadmm.optim import theta_next
-from sadmm.problems import FrozenEvalSet, ReferenceOptimum, reference_optimum
+from sadmm.problems import ReferenceOptimum, reference_optimum
 
 
 def report(capsys, number, passed, detail):
@@ -29,8 +29,8 @@ def eval_set_optimum(eval_set) -> ReferenceOptimum:
     Deterministic accelerated proximal gradient (prox = clamp o soft-threshold)
     with gradient restart on the sample-average smooth part, run to a
     prox-gradient residual <= 1e-12 as in `reference_optimum`. Each eval
-    sample's operators are assembled and LU-factored once; L comes from power
-    iteration on the (linear) gradient with zero target.
+    sample's operators are assembled and Cholesky-factored once; L comes from
+    power iteration on the (linear) gradient with zero target.
     """
     prob = eval_set.problem
     interior = prob.mesh.interior
@@ -42,8 +42,8 @@ def eval_set_optimum(eval_set) -> ReferenceOptimum:
         u_full[interior] = u
         acc = np.zeros(prob.dim)
         for ops in ops_list:
-            y = fem.solve_state(ops, u_full, method="lu")
-            acc += fem.solve_adjoint(ops, y, y_d, method="lu")[interior]
+            y = fem.solve_state(ops, u_full)
+            acc += fem.solve_adjoint(ops, y, y_d)[interior]
         return prob.alpha * u + acc / len(ops_list)
 
     no_target = np.zeros(prob.mesh.n_nodes)
@@ -93,7 +93,7 @@ def quadratic_cfg(**overrides):
 def elliptic_cfg(**overrides):
     base = dict(problem="elliptic", regime="strongly_convex", alpha=1e-5,
                 beta=1e-5, mu=0.5, mesh_h=2.0 ** -5, K=50, runs=5,
-                eval_samples=200, seed=0, solve_method="lu")
+                eval_samples=200, seed=0)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -208,8 +208,7 @@ def test_criterion_08_method_comparison(capsys):
     # gap (1.4e-4) still exceeds every baseline's (<= 1.7e-5).
     cfg = elliptic_cfg(methods=("admm", "spg", "ssg", "adasg"))
     records = run_experiment(cfg)
-    ref = eval_set_optimum(FrozenEvalSet(build_problem(cfg), cfg.eval_samples,
-                                         (cfg.seed, _EVAL_TAG)))
+    ref = eval_set_optimum(build_eval_set(cfg, build_problem(cfg)))
     gaps = {}
     budgets = {}
     for method in cfg.methods:

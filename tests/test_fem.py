@@ -3,10 +3,45 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import spsolve
 
 from sadmm import fem
 from sadmm.hilbert import wdot
 from sadmm.linsolve import check_spd_structure
+
+
+def reference_stiffness(mesh, xi):
+    """Interior stiffness by COO -> CSR assembly of the P1 element matrices
+    a(centroid) * (e_i . e_j) / (4 area), e_i the edge opposite vertex i."""
+    p = mesh.nodes[mesh.triangles]
+    e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    a = fem.coefficient(p.mean(axis=1), xi)
+    local = np.einsum("tid,tjd->tij", e, e) * (a / (4.0 * area))[:, None, None]
+    number = np.full(mesh.n_nodes, -1)
+    number[mesh.interior] = np.arange(mesh.interior.size)
+    rows = number[np.repeat(mesh.triangles, 3, axis=1).ravel()]
+    cols = number[np.tile(mesh.triangles, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.interior.size
+    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
+                         shape=(n, n)).tocsr()
+
+
+def band_to_dense(band):
+    """Symmetric dense matrix from LAPACK upper band storage; the unused
+    corner of the storage must be zero."""
+    bw, n = band.shape[0] - 1, band.shape[1]
+    A = np.zeros((n, n))
+    for k in range(bw + 1):
+        d = bw - k
+        assert np.all(band[k, :d] == 0.0)
+        j = np.arange(d, n)
+        A[j - d, j] = band[k, d:]
+        A[j, j - d] = band[k, d:]
+    return A
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +129,23 @@ class TestAssembly:
             evals = np.linalg.eigvalsh(ops.stiffness.toarray())
             assert evals.min() > 0.0
 
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_band_matches_coo_assembly(self, level):
+        mesh = fem.build_mesh(2.0 ** -level)
+        rng = np.random.default_rng(level)
+        side = 2 ** level - 1  # interior nodes per grid line
+        for _ in range(2):
+            xi = rng.uniform(-1, 1, size=4)
+            ops = fem.assemble(mesh, xi)
+            # lexicographic numbering: the widest coupling is the diagonal
+            # neighbour one grid line up
+            assert ops.band.shape == (side + 2, side * side)
+            expected = reference_stiffness(mesh, xi).toarray()
+            np.testing.assert_allclose(band_to_dense(ops.band), expected,
+                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(ops.stiffness.toarray(), expected,
+                                       rtol=1e-14, atol=0.0)
+
     def test_mass_symmetric_and_lumped_sums_to_area(self, ops4):
         M = ops4.mass
         assert abs(M - M.T).max() == 0.0
@@ -140,6 +192,27 @@ class TestSolves:
                                    rtol=1e-8, atol=1e-12)
         with pytest.raises(ValueError, match="unknown solve method"):
             fem.solve_state(ops, u, method="qr")
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_direct_solve_matches_spsolve(self, level):
+        mesh = fem.build_mesh(2.0 ** -level)
+        rng = np.random.default_rng(10 + level)
+        xi = rng.uniform(-1, 1, size=4)
+        ops = fem.assemble(mesh, xi)
+        u = rng.standard_normal(mesh.n_nodes)
+        expected = spsolve(reference_stiffness(mesh, xi).tocsc(),
+                           (ops.lumped * u)[mesh.interior])
+        y = fem.solve_state(ops, u)[mesh.interior]
+        assert (np.linalg.norm(y - expected)
+                <= 1e-12 * np.linalg.norm(expected))
+
+    def test_indefinite_band_raises(self, mesh4, ops4):
+        band = ops4.band.copy()
+        band[-1, 4] = -1.0  # a negative diagonal entry
+        bad = fem.AssembledOperators(mesh=mesh4, band=band, mass=ops4.mass,
+                                     lumped=ops4.lumped)
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            fem.solve_state(bad, np.ones(25))
 
     def test_adjoint_identity(self, mesh4):
         # <u, p>_W == <y(u2), y - y_d>_W since p = K^{-1} W (y - y_d)

@@ -20,7 +20,7 @@ def make_quadratic(dim=10, alpha=0.5, beta=0.2, sigma=0.3, seed=0):
 @pytest.fixture(scope="module")
 def elliptic():
     return EllipticControlProblem(fem.build_mesh(2.0 ** -3), alpha=1e-3,
-                                  beta=1e-3, solve_method="lu")
+                                  beta=1e-3)
 
 
 class TestQuadraticProblem:
