@@ -37,7 +37,6 @@ def _load_config(args) -> ExperimentConfig:
         overrides["eval_samples"] = PAPER_SCALE_EVAL_SAMPLES
     if overrides:
         cfg = replace(cfg, **overrides)
-        cfg.__post_init__()
     return cfg
 
 
@@ -61,7 +60,7 @@ def cmd_compare(args) -> int:
     records = harness.run_experiment(cfg, out_dir=out)
     series = {}
     for method in cfg.methods:
-        ks, mean_obj = harness.mean_objective_by_k(records, method)
+        ks, mean_obj = harness.mean_by_k(records, method, "objective")
         series[method] = (ks, mean_obj)
     emit_svg(series, out / "compare.svg", log_y=True)
     print(f"wrote {out / 'compare.svg'}")

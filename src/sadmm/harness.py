@@ -205,9 +205,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
     """Run every configured method x run combination on derived seeds.
 
     All methods share the frozen evaluation sample set and the batch
-    schedule, hence identical oracle budgets per iteration.
-    Returns one RunRecord per (method, run); failed runs are logged and
-    skipped so that the remaining runs still complete.
+    schedule, hence identical oracle budgets per iteration. Each run's
+    iterates are scored on the eval set in one pass after the run, so
+    wall_seconds (optimization time) excludes scoring.
+    Returns one RunRecord per (method, run); failed runs, including a failure
+    while scoring, are logged and skipped so that the remaining runs still
+    complete.
     """
     problem = build_problem(cfg)
     eval_set = build_eval_set(cfg, problem)
@@ -224,21 +227,28 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
         for run_idx in range(cfg.runs):
             rng, run_seed = _run_rng(cfg, method, run_idx)
             rows = []
+            iterates = []
 
             def hook(k, sfo_calls, elapsed, state, _rows=rows,
-                     _method=method, _seed=run_seed):
+                     _iterates=iterates, _method=method, _seed=run_seed):
                 u, z = solver.views(state)
-                # objective at the feasible iterate u; z is reported through
-                # sparsity/feasibility (the split pair can undercut the optimum)
+                # every step returns a fresh u, so keeping it needs no copy;
+                # the objective is scored after the run
+                _iterates.append(u)
                 _rows.append(RunRow(
                     k=k, sfo_calls=sfo_calls, wall_seconds=elapsed,
-                    objective=eval_set.objective(u),
+                    objective=math.nan,
                     feasibility=wnorm(u - z, w),
                     sparsity=sparsity_fraction(z, w),
                     method=_method, run_seed=_seed))
 
             try:
                 run_solver(solver, cfg.K, rng, hook=hook)
+                # objective at the feasible iterate u; z is reported through
+                # sparsity/feasibility (the split pair can undercut the optimum)
+                objectives = eval_set.objective(np.stack(iterates))
+                for row, objective in zip(rows, objectives.tolist()):
+                    row.objective = objective
             except Exception:
                 logger.exception("run failed: method=%s run=%d", method, run_idx)
                 continue
@@ -284,22 +294,15 @@ def envelope(records) -> EnvelopeStats:
                          max=objs.max(axis=0))
 
 
-def mean_objective_by_k(records, method: str) -> tuple[np.ndarray, np.ndarray]:
+def mean_by_k(records, method: str, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """Iteration counts and the run-averaged RunRow field (e.g. "objective"
+    or "feasibility") at each of them, over the runs of one method."""
     recs = [r for r in records if r.method == method]
     if not recs:
         raise ValueError(f"no records for method {method!r}")
     ks = np.array([row.k for row in recs[0].rows])
-    objs = np.array([[row.objective for row in rec.rows] for rec in recs])
-    return ks, objs.mean(axis=0)
-
-
-def mean_feasibility_by_k(records, method: str) -> tuple[np.ndarray, np.ndarray]:
-    recs = [r for r in records if r.method == method]
-    if not recs:
-        raise ValueError(f"no records for method {method!r}")
-    ks = np.array([row.k for row in recs[0].rows])
-    feas = np.array([[row.feasibility for row in rec.rows] for rec in recs])
-    return ks, feas.mean(axis=0)
+    values = np.array([[getattr(row, field) for row in rec.rows] for rec in recs])
+    return ks, values.mean(axis=0)
 
 
 def fit_loglog_slope(k: np.ndarray, values: np.ndarray,
@@ -320,10 +323,10 @@ def fit_rate_slope(records, k_range: tuple[int, int],
                    quantity: str = "gap") -> float:
     """Log-log slope of the run-averaged objective gap (or feasibility)."""
     if quantity == "gap":
-        ks, mean_obj = mean_objective_by_k(records, method)
+        ks, mean_obj = mean_by_k(records, method, "objective")
         values = mean_obj - reference_objective
     elif quantity == "feasibility":
-        ks, values = mean_feasibility_by_k(records, method)
+        ks, values = mean_by_k(records, method, "feasibility")
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     return fit_loglog_slope(ks, values, k_range)

@@ -163,8 +163,9 @@ class FrozenEvalSet:
     """A sample set drawn once and reused for every telemetry evaluation.
 
     For the elliptic problem each sample's stiffness is assembled and
-    banded-Cholesky factored once and only the factors are kept, so repeated
-    objective evaluation costs one back-substitution per sample.
+    banded-Cholesky factored once and only the factors are kept, so scoring
+    a stack of iterates costs one multi-right-hand-side back-substitution per
+    sample.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -187,22 +188,37 @@ class FrozenEvalSet:
             self._boundary_sq = wdot(y_d_b, y_d_b,
                                      problem.state_weights[mesh.boundary_mask])
 
-    def objective(self, u: np.ndarray, u_nonsmooth: np.ndarray | None = None) -> float:
+    def objective(self, u: np.ndarray,
+                  u_nonsmooth: np.ndarray | None = None) -> float | np.ndarray:
         """Mean smooth value at u plus the L1 term, evaluated at u_nonsmooth
-        (defaults to u; for splitting methods pass the thresholded iterate)."""
-        zu = u if u_nonsmooth is None else u_nonsmooth
+        (defaults to u; for splitting methods pass the thresholded iterate).
+
+        Accepts u of shape (dim,), returning a float, or a stack of iterates
+        of shape (k, dim), returning k values; vectorized over the leading
+        axis. Every value equals the one a single-iterate call gives, bit for
+        bit: the elliptic path back-solves all k loads per cached factor in
+        one call and accumulates each column in the same sample order.
+        """
+        us = np.atleast_2d(u)
+        zs = us if u_nonsmooth is None else np.atleast_2d(u_nonsmooth)
         prob = self.problem
         if self._factors is not None:
             w = prob.weights
-            load = w * u  # the lumped load W u on the interior nodes
-            alpha_term = 0.5 * prob.alpha * wnorm(u, w) ** 2
-            total = 0.0
+            # the lumped loads W u on the interior nodes, one column per
+            # iterate; the transpose is Fortran-ordered, as dpbtrs wants it
+            loads = (w * us).T
+            alpha_terms = np.array([0.5 * prob.alpha * wnorm(x, w) ** 2 for x in us])
+            smooth = np.zeros(len(us))
             for factor in self._factors:
-                r = fem.band_solve(factor, load) - self._y_d
-                total += 0.5 * (wdot(r, r, w) + self._boundary_sq) + alpha_term
-            return total / len(self._factors) + nonsmooth_value(prob, zu)
-        mean = sum(prob.smooth_value(u, s) for s in self.samples) / len(self.samples)
-        return mean + nonsmooth_value(prob, zu)
+                r = fem.band_solve(factor, loads) - self._y_d[:, None]
+                sq = np.array([wdot(col, col, w) for col in r.T])
+                smooth += 0.5 * (sq + self._boundary_sq) + alpha_terms
+            smooth /= len(self._factors)
+        else:
+            smooth = np.array([sum(prob.smooth_value(x, s) for s in self.samples)
+                               / len(self.samples) for x in us])
+        values = smooth + np.array([nonsmooth_value(prob, z) for z in zs])
+        return float(values[0]) if np.ndim(u) == 1 else values
 
 
 @dataclass

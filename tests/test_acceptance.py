@@ -98,6 +98,7 @@ def elliptic_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+@pytest.mark.slow
 def test_criterion_01_strongly_convex_nonergodic_rate(capsys):
     cfg = quadratic_cfg(K=800, runs=20)
     records = run_experiment(cfg)
@@ -112,6 +113,7 @@ def test_criterion_01_strongly_convex_nonergodic_rate(capsys):
            f"feasibility slope {feas_slope:.3f} <= -1.5 over K in [50, 800]")
 
 
+@pytest.mark.slow
 def test_criterion_02_convex_nonergodic_rate(capsys):
     cfg = quadratic_cfg(regime="convex", alpha=0.0, K=2000, runs=20)
     records = run_experiment(cfg)
@@ -198,6 +200,7 @@ def test_criterion_07_coefficient_bounds(capsys):
            f"within [e^-4, e^4] = [{np.exp(-4.0):.4f}, {np.exp(4.0):.4f}]")
 
 
+@pytest.mark.slow
 def test_criterion_08_method_comparison(capsys):
     # The paper promises nonergodic rates, not that the averaged iterate u_K
     # beats tuned SG baselines at one horizon, so the ordering is printed but
@@ -231,6 +234,7 @@ def test_criterion_08_method_comparison(capsys):
            f"feasibility slope {feas_slope:.3f} <= -1.5 over K in [20, 50]")
 
 
+@pytest.mark.slow
 def test_criterion_09_batch_averaging(capsys):
     grown = run_experiment(elliptic_cfg(methods=("admm",),
                                         batch_rule="paper_power"))
@@ -245,6 +249,7 @@ def test_criterion_09_batch_averaging(capsys):
            f"single-sample {mean_const:.6f} at K = 50")
 
 
+@pytest.mark.slow
 def test_criterion_10_sparsity_trend(capsys):
     cfg = elliptic_cfg(alpha=1e-4, runs=5, K=50)
     betas = [0.0, 5e-3, 3e-2]

@@ -206,6 +206,17 @@ class TestSolves:
         assert (np.linalg.norm(y - expected)
                 <= 1e-12 * np.linalg.norm(expected))
 
+    def test_multi_rhs_band_solve_matches_column_solves(self):
+        mesh = fem.build_mesh(2.0 ** -5)
+        rng = np.random.default_rng(15)
+        factor = fem.assemble(mesh, rng.uniform(-1, 1, size=4)).factorized()
+        rhs = rng.standard_normal((mesh.interior.size, 7))
+        x = fem.band_solve(factor, rhs)
+        assert x.shape == rhs.shape
+        for j in range(rhs.shape[1]):
+            np.testing.assert_array_equal(x[:, j],
+                                          fem.band_solve(factor, rhs[:, j]))
+
     def test_indefinite_band_raises(self, mesh4, ops4):
         band = ops4.band.copy()
         band[-1, 4] = -1.0  # a negative diagonal entry

@@ -9,10 +9,10 @@ from sadmm import harness
 from sadmm.harness import (CSV_HEADER, ConfigError, ExperimentConfig, RunRow,
                            build_problem, emit_csv, envelope, fem_verify,
                            fit_loglog_slope, fit_rate_slope, grad_check,
-                           load_csv, mean_feasibility_by_k,
-                           mean_objective_by_k, run_experiment,
+                           load_csv, mean_by_k, run_experiment,
                            sparsity_fraction, sparsity_table)
-from sadmm.problems import QuadraticProblem
+from sadmm.optim import NumericalFailure
+from sadmm.problems import FrozenEvalSet, QuadraticProblem
 from sadmm.svgplot import emit_svg
 
 
@@ -177,6 +177,75 @@ class TestRunExperiment:
         assert len(set(finals)) == 3
 
 
+def stable_rows(records):
+    """(method, run_seed, rows without wall_seconds) per record."""
+    return [(rec.method, rec.run_seed,
+             [(r.k, r.sfo_calls, r.objective, r.feasibility, r.sparsity)
+              for r in rec.rows]) for rec in records]
+
+
+class TestFailedRuns:
+    """A run that fails is logged and dropped; the other runs are unchanged."""
+
+    cfg = tiny_quadratic_cfg(methods=("admm", "ssg"), runs=2)
+
+    def check_dropped(self, caplog, records, clean):
+        failed = [r for r in caplog.records
+                  if r.getMessage().startswith("run failed")]
+        assert [r.args for r in failed] == [("admm", 1)]
+        kept = [rec for rec in clean if rec.run_seed != clean[1].run_seed]
+        assert stable_rows(records) == stable_rows(kept)
+        return failed[0].exc_info[1]
+
+    def test_nonfinite_gradient(self, monkeypatch, caplog):
+        clean = run_experiment(self.cfg)
+        runs = []
+        run_solver = harness.run_solver
+
+        def poison_second_run(solver, K, rng, hook=None):
+            runs.append(solver)
+            if len(runs) != 2:
+                return run_solver(solver, K, rng, hook=hook)
+            grad = solver.problem.averaged_grad
+            calls = []
+
+            def averaged_grad(u, rng, m):
+                calls.append(m)
+                g = grad(u, rng, m)
+                return g * np.nan if len(calls) == 4 else g
+
+            # one oracle call per step: the 4th is the step from k = 3
+            solver.problem.averaged_grad = averaged_grad
+            try:
+                return run_solver(solver, K, rng, hook=hook)
+            finally:
+                del solver.problem.averaged_grad
+
+        monkeypatch.setattr(harness, "run_solver", poison_second_run)
+        records = run_experiment(self.cfg)
+        exc = self.check_dropped(caplog, records, clean)
+        assert isinstance(exc, NumericalFailure)
+        assert (exc.step_name, exc.k) == ("gradient", 3)
+
+    def test_failure_while_scoring(self, monkeypatch, caplog):
+        clean = run_experiment(self.cfg)
+        objective = FrozenEvalSet.objective
+        calls = []
+
+        def fail_second_call(self, u, u_nonsmooth=None):
+            calls.append(u)
+            if len(calls) == 2:
+                raise FloatingPointError("scoring failed")
+            return objective(self, u, u_nonsmooth)
+
+        monkeypatch.setattr(FrozenEvalSet, "objective", fail_second_call)
+        records = run_experiment(self.cfg)
+        assert isinstance(self.check_dropped(caplog, records, clean),
+                          FloatingPointError)
+        # one scoring call per run, on the stack of its K iterates
+        assert [u.shape for u in calls] == [(self.cfg.K, self.cfg.quad_dim)] * 4
+
+
 @pytest.fixture(scope="module")
 def records():
     return run_experiment(tiny_quadratic_cfg(methods=("admm", "spg"), runs=3))
@@ -184,12 +253,15 @@ def records():
 
 class TestStatistics:
     def test_mean_curves(self, records):
-        ks, objs = mean_objective_by_k(records, "admm")
+        ks, objs = mean_by_k(records, "admm", "objective")
         assert ks.tolist() == list(range(1, 13)) and objs.shape == (12,)
-        ks2, feas = mean_feasibility_by_k(records, "admm")
-        assert np.all(feas >= 0.0)
+        admm = [r for r in records if r.method == "admm"]
+        assert objs.tolist() == np.mean(
+            [[row.objective for row in rec.rows] for rec in admm], axis=0).tolist()
+        ks2, feas = mean_by_k(records, "admm", "feasibility")
+        assert ks2.tolist() == ks.tolist() and np.all(feas >= 0.0)
         with pytest.raises(ValueError, match="no records"):
-            mean_objective_by_k(records, "adasg")
+            mean_by_k(records, "adasg", "objective")
 
     def test_envelope_brackets_mean(self, records):
         admm = [r for r in records if r.method == "admm"]

@@ -164,6 +164,17 @@ class TestObjectives:
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
 
+    def test_stacked_objective_matches_single_iterates(self, elliptic):
+        rng = np.random.default_rng(11)
+        for prob, ev in ((elliptic, FrozenEvalSet(elliptic, 5, 0)),
+                         (make_quadratic(), FrozenEvalSet(make_quadratic(), 3, 0))):
+            us = rng.uniform(-2.0, 2.0, size=(4, prob.dim))
+            zs = soft_threshold(us, 0.5)
+            assert ev.objective(us).tolist() == [ev.objective(u) for u in us]
+            assert ev.objective(us, zs).tolist() == [
+                ev.objective(u, z) for u, z in zip(us, zs)]
+            assert type(ev.objective(us[0])) is float
+
     def test_frozen_eval_set_split_argument(self):
         prob = make_quadratic(beta=1.0, sigma=0.0)
         ev = FrozenEvalSet(prob, 3, 0)
