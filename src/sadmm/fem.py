@@ -5,9 +5,14 @@ same diagonal. The stiffness matrix uses one-point (centroid) quadrature for
 the variable coefficient; Dirichlet conditions are eliminated to an
 interior-only SPD system. In the lexicographic numbering of the interior
 nodes that system is banded, so it is assembled straight into LAPACK upper
-band storage and solved by a banded Cholesky factorization. State and
-adjoint loads use the lumped-mass weights, so the adjoint-based gradient is
-the exact gradient of the discrete tracking functional.
+band storage. On this mesh the stiffness is exactly a 5-point stencil (the
+coupling across each cell's diagonal is 0.0), so the interior nodes split
+into red and black with no coupling inside a colour. The direct solve
+eliminates the red nodes, whose block is diagonal, and factors the Schur
+complement on the black nodes, a band of half the size and half the
+bandwidth, by banded Cholesky.
+State and adjoint loads use the lumped-mass weights, so the adjoint-based
+gradient is the exact gradient of the discrete tracking functional.
 """
 
 from __future__ import annotations
@@ -105,24 +110,144 @@ def coefficient(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.exp(_log_coefficient_modes(x) @ check_sample(xi))
 
 
-def band_cholesky(band: np.ndarray) -> np.ndarray:
-    """Cholesky factor (LAPACK dpbtrf) of an SPD matrix in upper band storage.
+class RedBlackOrdering:
+    """Red-black split of the interior nodes, computed once per mesh.
 
-    Raises LinAlgError when the matrix is not positive definite, rather than
-    returning a partial factor.
+    Red nodes have i + j even on the interior grid, black nodes odd; the
+    stiffness couples no two nodes of one colour. Within a colour the nodes
+    keep their lexicographic order, in which the black Schur complement is
+    banded. The index maps locate in band storage the red and black pivots
+    and the red-black couplings, the latter in the CSR layout of the
+    (n_red, n_black) block.
     """
-    factor, info = dpbtrf(band, lower=0)
+
+    def __init__(self, red: np.ndarray, couplings: np.ndarray,
+                 band_shape: tuple[int, int]):
+        """red: colour of each interior node; couplings: flat indices into
+        band storage of the off-diagonal entries that can be nonzero."""
+        bw, n = band_shape[0] - 1, band_shape[1]
+        self.red = np.nonzero(red)[0]
+        self.black = np.nonzero(~red)[0]
+        n_red, n_black = self.red.size, self.black.size
+        number = np.empty(n, dtype=np.int64)
+        number[self.red] = np.arange(n_red)
+        number[self.black] = np.arange(n_black)
+        self._red_pivots = bw * n + self.red
+        self._black_pivots = bw * n + self.black
+
+        # the red-black block in CSR layout: rows red, columns black
+        col = couplings % n
+        row = col - (bw - couplings // n)
+        red_row = red[row]
+        r = number[np.where(red_row, row, col)]
+        b = number[np.where(red_row, col, row)]
+        order = np.lexsort((b, r))
+        self._coupling_src = couplings[order]
+        self._coupling_row = r[order]
+        cols = b[order]
+        self._indices = cols.astype(np.int32)
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(r, minlength=n_red))]).astype(np.int32)
+        self.shape = (n_red, n_black)
+
+        # S = D_b - E D_r^-1 E^T in upper band storage, formed by one
+        # bincount: each red node adds the product of its couplings to two
+        # black neighbours b <= b'
+        # slot[i, a]: position of red node i's a-th coupling, or -1
+        nnz = order.size
+        slot = np.full((n_red, int(np.diff(self._indptr).max(initial=0))), -1)
+        slot[self._coupling_row,
+             np.arange(nnz) - self._indptr[self._coupling_row]] = np.arange(nnz)
+        a, c = np.triu_indices(slot.shape[1])
+        left, right = slot[:, a].ravel(), slot[:, c].ravel()
+        keep = (left >= 0) & (right >= 0)
+        left, right = left[keep], right[keep]
+        lo, hi = cols[left], cols[right]
+        bw_s = int((hi - lo).max(initial=0))
+        self.schur_shape = (bw_s + 1, n_black)
+        self._schur_pairs = (left, right)
+        # column-major positions, so that dpbtrf takes S without a copy
+        self._schur_index = (bw_s + 1) * np.concatenate([np.arange(n_black), hi]) \
+            + np.concatenate([np.full(n_black, bw_s), bw_s + lo - hi])
+
+
+@dataclass(eq=False)
+class RedBlackFactor:
+    """Direct solver of the interior stiffness K after red-black elimination.
+
+    With the red nodes first, K = [[D_r, E^T], [E, D_b]] and D_r, D_b are
+    diagonal. The black unknowns solve S x_b = f_b - E D_r^-1 f_r with the
+    Schur complement S = D_b - E D_r^-1 E^T, half the size of K and of half
+    its bandwidth, held as its banded Cholesky factor; the red unknowns are
+    then x_r = D_r^-1 f_r - D_r^-1 E^T x_b.
+    """
+
+    ordering: RedBlackOrdering
+    red_diag: np.ndarray  # D_r, (n_red,)
+    eliminate: sp.csr_array  # D_r^-1 E^T, (n_red, n_black)
+    schur: np.ndarray  # dpbtrf factor of S in upper band storage
+
+    def __post_init__(self):
+        # E D_r^-1: the same arrays read as CSC, made once because building
+        # it costs more than a one-column product
+        m = self.eliminate
+        self._eliminate_t = sp.csc_array((m.data, m.indices, m.indptr),
+                                         shape=m.shape[::-1])
+
+    def solve(self, f_red: np.ndarray,
+              f_black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Solve K x = f given f split by colour: (n_red,) and (n_black,), or
+        one column per right-hand side. Returns x split the same way; each
+        column is bit-for-bit the one a single right-hand side gives."""
+        t = f_black - self._eliminate_t @ f_red
+        x_black = t
+        if t.shape[0]:  # LAPACK rejects an empty system
+            x_black, info = dpbtrs(self.schur, t, lower=0)
+            if info != 0:
+                raise LinAlgError(f"banded Cholesky solve failed (dpbtrs info={info})")
+        # the transposes divide every column of f_red by the pivots
+        x_red = (f_red.T / self.red_diag).T - self.eliminate @ x_black
+        return x_red, x_black
+
+
+def band_cholesky(band: np.ndarray, mesh: StructuredMesh) -> RedBlackFactor:
+    """Factor the interior stiffness of mesh, in upper band storage as
+    assemble builds it: eliminate the red nodes and factor the black Schur
+    complement with LAPACK dpbtrf.
+
+    Raises LinAlgError when the matrix is not positive definite, that is
+    when a red pivot is not positive or dpbtrf rejects the Schur complement,
+    rather than returning a partial factor.
+    """
+    rb = _geometry(mesh).red_black
+    flat = band.ravel()
+    red_diag = flat[rb._red_pivots]
+    if not np.all(red_diag > 0.0):
+        raise LinAlgError("red-black elimination failed (a red pivot is not "
+                          "positive): the matrix is not positive definite")
+    coupling = flat[rb._coupling_src]
+    scaled = coupling / red_diag[rb._coupling_row]
+    left, right = rb._schur_pairs
+    weights = np.concatenate([flat[rb._black_pivots],
+                              -coupling[left] * scaled[right]])
+    schur = np.bincount(rb._schur_index, weights=weights,
+                        minlength=rb.schur_shape[0] * rb.schur_shape[1])
+    factor, info = dpbtrf(schur.reshape(rb.schur_shape, order="F"), lower=0)
     if info != 0:
         raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info}): the "
                           "matrix is not positive definite")
-    return factor
+    eliminate = sp.csr_array((scaled, rb._indices, rb._indptr), shape=rb.shape)
+    return RedBlackFactor(ordering=rb, red_diag=red_diag, eliminate=eliminate,
+                          schur=factor)
 
 
-def band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs given the band_cholesky factor of A (LAPACK dpbtrs)."""
-    x, info = dpbtrs(factor, rhs, lower=0)
-    if info != 0:
-        raise LinAlgError(f"banded Cholesky solve failed (dpbtrs info={info})")
+def band_solve(factor: RedBlackFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve K x = rhs given band_cholesky's factor of K; rhs is (n,) or
+    (n, k) in the interior numbering, and x has its shape."""
+    rb = factor.ordering
+    f = np.asarray(rhs, dtype=float)
+    x = np.empty_like(f)
+    x[rb.red], x[rb.black] = factor.solve(f[rb.red], f[rb.black])
     return x
 
 
@@ -132,7 +257,7 @@ class AssembledOperators:
     band: np.ndarray  # interior stiffness in upper band storage, (bw + 1, n)
     mass: sp.csr_matrix  # full consistent mass
     lumped: np.ndarray  # row sums of mass, all nodes
-    _factor: np.ndarray | None = field(default=None, repr=False)
+    _factor: RedBlackFactor | None = field(default=None, repr=False)
 
     @cached_property
     def stiffness(self) -> sp.csr_matrix:
@@ -145,10 +270,10 @@ class AssembledOperators:
         full.eliminate_zeros()
         return full
 
-    def factorized(self) -> np.ndarray:
-        """Cached banded Cholesky factor of the interior stiffness."""
+    def factorized(self) -> RedBlackFactor:
+        """Cached red-black factor of the interior stiffness."""
         if self._factor is None:
-            self._factor = band_cholesky(self.band)
+            self._factor = band_cholesky(self.band, self.mesh)
         return self._factor
 
 
@@ -207,6 +332,17 @@ class _MeshGeometry:
         self.band_index = (bw + r - c) * n_int + c
         self.band_k_geo = k_geo.ravel()[sel]
         self.band_triangle = sel // 9
+
+        # red-black colouring of the interior grid: the direct solve needs
+        # every nonzero coupling to join a red and a black node
+        ij = np.rint(mesh.nodes[mesh.interior] / mesh.h).astype(np.int64)
+        red = ij.sum(axis=1) % 2 == 0
+        coupled = (r != c) & (self.band_k_geo != 0.0)
+        if np.any(red[r[coupled]] == red[c[coupled]]):
+            raise ValueError("the stiffness couples two nodes of one colour, "
+                             "so red-black elimination does not apply")
+        self.red_black = RedBlackOrdering(
+            red, np.unique(self.band_index[coupled]), self.band_shape)
 
 
 _geometry_cache: "weakref.WeakKeyDictionary[StructuredMesh, _MeshGeometry]" = \

@@ -82,6 +82,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.regime == "strongly_convex" and self.alpha <= 0.0:
             raise ConfigError("strongly_convex regime requires alpha > 0")
+        if self.solve_method not in ("lu", "cg"):
+            raise ConfigError(f"unknown solve_method {self.solve_method!r}; "
+                              "expected 'lu' or 'cg'")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -48,6 +48,20 @@ def wdot(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(w * a, b))
 
 
+def wdot_rows(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise weighted inner products sum_j w_j a_ij b_ij of two (k, n)
+    stacks. Each row's value is the same bit for bit whatever k is."""
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    if a.ndim != 2 or a.shape != b.shape or a.shape[1:] != np.shape(w):
+        raise ValueError(
+            f"shape mismatch: a {a.shape}, b {b.shape}, w {np.shape(w)}"
+        )
+    # three operands keep einsum on one unbuffered pass per row; the
+    # two-operand form regroups rows longer than its 8192-element buffer
+    return np.einsum("ij,ij,j->i", a, b, np.asarray(w, dtype=float))
+
+
 def wnorm(a: np.ndarray, w: np.ndarray) -> float:
     """Weighted norm sqrt(wdot(a, a, w))."""
     return float(np.sqrt(max(wdot(a, a, w), 0.0)))
@@ -76,3 +90,14 @@ def soft_threshold(a: np.ndarray, t) -> np.ndarray:
 def weighted_l1(a: np.ndarray, w: np.ndarray) -> float:
     """Lumped quadrature of the L1 norm: sum_i w_i |a_i|."""
     return wdot(np.abs(np.asarray(a, dtype=float)), np.ones_like(w), w)
+
+
+def weighted_l1_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise weighted_l1 of a (k, n) stack: sum_j w_j |a_ij|. Each row's
+    value is the same bit for bit whatever k is."""
+    a = np.abs(np.asarray(a, dtype=float))
+    w = np.asarray(w, dtype=float)
+    if a.ndim != 2 or a.shape[1:] != w.shape:
+        raise ValueError(f"shape mismatch: a {a.shape}, w {w.shape}")
+    # three operands for the reason given in wdot_rows
+    return np.einsum("ij,j,j->i", a, np.ones_like(w), w)

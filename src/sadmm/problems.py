@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem
-from .hilbert import project_box, soft_threshold, wdot, weighted_l1, wnorm
+from .hilbert import (project_box, soft_threshold, wdot, wdot_rows,
+                      weighted_l1, weighted_l1_rows, wnorm)
 from .linsolve import CgConfig
 
 
@@ -163,9 +164,10 @@ class FrozenEvalSet:
     """A sample set drawn once and reused for every telemetry evaluation.
 
     For the elliptic problem each sample's stiffness is assembled and
-    banded-Cholesky factored once and only the factors are kept, so scoring
-    a stack of iterates costs one multi-right-hand-side back-substitution per
-    sample.
+    factored once (red-black elimination, then a banded Cholesky factor of
+    the black Schur complement) and only the factors are kept. Scoring a
+    stack of iterates splits the loads, the target and the weights by
+    colour once, then costs one multi-right-hand-side solve per sample.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -181,7 +183,11 @@ class FrozenEvalSet:
             self._factors = [problem.operators(xi).factorized()
                              for xi in self.samples]
             mesh = problem.mesh
-            self._y_d = problem.y_d[mesh.interior]
+            rb = self._factors[0].ordering
+            y_d = problem.y_d[mesh.interior]
+            # (nodes, target, weights) of the red and of the black nodes
+            self._colours = [(idx, y_d[idx], problem.weights[idx])
+                             for idx in (rb.red, rb.black)]
             # the state vanishes on the boundary, so the boundary share of
             # ||y - y_d||_W^2 is the same for every u and every sample
             y_d_b = problem.y_d[mesh.boundary_mask]
@@ -196,28 +202,30 @@ class FrozenEvalSet:
         Accepts u of shape (dim,), returning a float, or a stack of iterates
         of shape (k, dim), returning k values; vectorized over the leading
         axis. Every value equals the one a single-iterate call gives, bit for
-        bit: the elliptic path back-solves all k loads per cached factor in
-        one call and accumulates each column in the same sample order.
+        bit: each factor solves all k loads in one call, column by column
+        alike, and every reduction is row-wise (wdot_rows, weighted_l1_rows).
         """
         us = np.atleast_2d(u)
         zs = us if u_nonsmooth is None else np.atleast_2d(u_nonsmooth)
         prob = self.problem
+        w = prob.weights
         if self._factors is not None:
-            w = prob.weights
-            # the lumped loads W u on the interior nodes, one column per
-            # iterate; the transpose is Fortran-ordered, as dpbtrs wants it
+            # the lumped loads W u, one column per iterate, split by colour
             loads = (w * us).T
-            alpha_terms = np.array([0.5 * prob.alpha * wnorm(x, w) ** 2 for x in us])
+            parts = [np.ascontiguousarray(loads[idx]) for idx, _, _ in self._colours]
+            alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
             smooth = np.zeros(len(us))
             for factor in self._factors:
-                r = fem.band_solve(factor, loads) - self._y_d[:, None]
-                sq = np.array([wdot(col, col, w) for col in r.T])
+                sq = 0.0
+                for x, (_, y_d, w_c) in zip(factor.solve(*parts), self._colours):
+                    r = np.subtract(x.T, y_d, order="C")
+                    sq = sq + wdot_rows(r, r, w_c)
                 smooth += 0.5 * (sq + self._boundary_sq) + alpha_terms
             smooth /= len(self._factors)
         else:
             smooth = np.array([sum(prob.smooth_value(x, s) for s in self.samples)
                                / len(self.samples) for x in us])
-        values = smooth + np.array([nonsmooth_value(prob, z) for z in zs])
+        values = smooth + prob.beta * weighted_l1_rows(zs, w)
         return float(values[0]) if np.ndim(u) == 1 else values
 
 

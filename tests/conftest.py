@@ -1,7 +1,7 @@
 """Pin BLAS and OpenMP to one thread before numpy is first imported.
 
 One banded Cholesky factorization at h = 2^-5 is too small to share: on a
-2-core machine dpbtrf takes 0.50 ms on one thread and 2.0 ms on two, which
+2-core machine it takes 0.29-0.45 ms on one thread and 1.4 ms on two, which
 is OpenBLAS's default there. A setting already in the environment is kept.
 """
 

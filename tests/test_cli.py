@@ -39,6 +39,14 @@ class TestExitCodes:
         assert cli.main(["run", "--config", str(cfg),
                          "--methods", "admm,sgd"]) == 2
 
+    def test_unknown_solve_method_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, problem="elliptic", alpha=1e-4,
+                        mesh_h=0.25, solve_method="qr")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "solve_method" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_requires_reference_problem(self, tmp_path):
         cfg = write_cfg(tmp_path, problem="elliptic",
                         alpha=1e-4, mesh_h=0.25)

@@ -193,18 +193,29 @@ class TestSolves:
         with pytest.raises(ValueError, match="unknown solve method"):
             fem.solve_state(ops, u, method="qr")
 
-    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_direct_solve_matches_spsolve(self, level):
+        # level 1 has a single (red) interior node and an empty Schur system
         mesh = fem.build_mesh(2.0 ** -level)
         rng = np.random.default_rng(10 + level)
         xi = rng.uniform(-1, 1, size=4)
         ops = fem.assemble(mesh, xi)
+        side = 2 ** level - 1
+        # the black Schur complement has half the nodes and half-bandwidth
+        # side (the stiffness: side + 1); level 1 keeps one empty band row
+        assert ops.factorized().schur.shape == (min(side + 1, side * side),
+                                                side * side // 2)
         u = rng.standard_normal(mesh.n_nodes)
         expected = spsolve(reference_stiffness(mesh, xi).tocsc(),
                            (ops.lumped * u)[mesh.interior])
         y = fem.solve_state(ops, u)[mesh.interior]
         assert (np.linalg.norm(y - expected)
                 <= 1e-12 * np.linalg.norm(expected))
+        # a stack of right-hand sides solves column by column alike; at
+        # level 1 it must not reach dpbtrs, which rejects an empty system
+        loads = (ops.lumped * u)[mesh.interior]
+        stacked = fem.band_solve(ops.factorized(), np.column_stack([loads, loads]))
+        np.testing.assert_array_equal(stacked, np.column_stack([y, y]))
 
     def test_multi_rhs_band_solve_matches_column_solves(self):
         mesh = fem.build_mesh(2.0 ** -5)
@@ -224,6 +235,28 @@ class TestSolves:
                                      lumped=ops4.lumped)
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.solve_state(bad, np.ones(25))
+
+    def test_indefinite_black_pivot_raises(self, mesh4, ops4):
+        # node 1 is black: its pivot reaches dpbtrf through the Schur
+        # complement, while node 4 above is a red pivot checked before S
+        band = ops4.band.copy()
+        band[-1, 1] = -1.0
+        bad = fem.AssembledOperators(mesh=mesh4, band=band, mass=ops4.mass,
+                                     lumped=ops4.lumped)
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            fem.solve_state(bad, np.ones(25))
+
+    def test_mesh_coupling_one_colour_is_rejected(self, mesh4):
+        # moving the centre node off the grid takes the right angle from its
+        # triangles, so it couples to its diagonal neighbours of its colour
+        nodes = mesh4.nodes.copy()
+        nodes[12] += [0.05, 0.02]
+        bent = fem.StructuredMesh(h=mesh4.h, nodes=nodes,
+                                  triangles=mesh4.triangles,
+                                  boundary_mask=mesh4.boundary_mask,
+                                  interior=mesh4.interior)
+        with pytest.raises(ValueError, match="one colour"):
+            fem.assemble(bent, np.zeros(4))
 
     def test_adjoint_identity(self, mesh4):
         # <u, p>_W == <y(u2), y - y_d>_W since p = K^{-1} W (y - y_d)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sadmm.hilbert import (check_field, check_weights, project_box,
-                           soft_threshold, wdot, weighted_l1, wnorm)
+                           soft_threshold, wdot, wdot_rows, weighted_l1,
+                           weighted_l1_rows, wnorm)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -60,6 +61,27 @@ class TestInnerProduct:
         w = np.array([0.5, 1.0, 2.0])
         expected = 0.5 * 4.0 + 1.0 * (-10.0) + 2.0 * (-18.0)
         assert wdot(a, b, w) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [961, 16129])
+    def test_row_reductions_match_and_ignore_row_count(self, n):
+        # 16129 nodes (h = 2^-7) is longer than einsum's 8192-element buffer
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal((2, 12, n))
+        w = rng.uniform(0.5, 2.0, size=n)
+        rows = wdot_rows(a, b, w)
+        for i in range(12):
+            assert rows[i] == pytest.approx(wdot(a[i], b[i], w), rel=1e-12)
+            assert wdot_rows(a[i:i + 1], b[i:i + 1], w)[0] == rows[i]
+            assert wdot_rows(a[:i + 1], b[:i + 1], w)[i] == rows[i]
+        with pytest.raises(ValueError, match="mismatch"):
+            wdot_rows(a, b, w[1:])
+        l1 = weighted_l1_rows(a, w)
+        for i in range(12):
+            assert l1[i] == pytest.approx(weighted_l1(a[i], w), rel=1e-12)
+            assert weighted_l1_rows(a[i:i + 1], w)[0] == l1[i]
+            assert weighted_l1_rows(a[:i + 1], w)[i] == l1[i]
+        with pytest.raises(ValueError, match="mismatch"):
+            weighted_l1_rows(a, w[1:])
 
     def test_wnorm_of_zero(self):
         assert wnorm(np.zeros(5), np.ones(5)) == 0.0
