@@ -85,6 +85,27 @@ class ExperimentConfig:
         if self.solve_method not in ("lu", "cg"):
             raise ConfigError(f"unknown solve_method {self.solve_method!r}; "
                               "expected 'lu' or 'cg'")
+        # values the solver layers would reject once the experiment runs
+        if self.alpha < 0.0 or self.beta < 0.0:
+            raise ConfigError("alpha and beta must be nonnegative")
+        if self.u_min >= self.u_max:
+            raise ConfigError(f"u_min={self.u_min} must be below u_max={self.u_max}")
+        if self.batch_rule not in ("paper_power", "constant"):
+            raise ConfigError(f"unknown batch_rule {self.batch_rule!r}; "
+                              "expected 'paper_power' or 'constant'")
+        if not 0.0 < self.mu < 1.0:
+            raise ConfigError(f"mu must be in (0, 1), got {self.mu}")
+        if self.batch_floor < 1:
+            raise ConfigError(f"batch_floor must be >= 1, got {self.batch_floor}")
+        if self.l_est_calls < 1:
+            raise ConfigError(f"l_est_calls must be >= 1, got {self.l_est_calls}")
+        if self.quad_sigma < 0.0:
+            raise ConfigError(f"quad_sigma must be nonnegative, got {self.quad_sigma}")
+        if self.problem == "elliptic":
+            try:
+                fem.grid_divisions(self.mesh_h)
+            except ValueError as exc:
+                raise ConfigError(f"mesh_h: {exc}") from exc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

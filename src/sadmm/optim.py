@@ -271,13 +271,15 @@ class AdaSgSolver(_SgSolverBase):
 
 def estimate_L(problem, u_probe: np.ndarray, rng: np.random.Generator,
                n_calls: int = 1000) -> float:
-    """Average weighted gradient norm over n_calls oracle draws at u_probe."""
+    """Average weighted gradient norm over n_calls oracle draws at u_probe,
+    summed one draw at a time in draw order (problem.sample_grads decides
+    how the gradients are computed)."""
     if n_calls < 1:
         raise ValueError("n_calls must be >= 1")
     from .hilbert import wnorm
     total = 0.0
-    for _ in range(n_calls):
-        total += wnorm(problem.grad(u_probe, problem.draw_sample(rng)), problem.weights)
+    for g in problem.sample_grads(u_probe, rng, n_calls):
+        total += wnorm(g, problem.weights)
     return total / n_calls
 
 

@@ -17,6 +17,11 @@ from .hilbert import (project_box, soft_threshold, wdot, wdot_rows,
                       weighted_l1, weighted_l1_rows, wnorm)
 from .linsolve import CgConfig
 
+# Oracle samples, and eval samples at build time, are assembled and factored
+# in stacks of this many: larger stacks cost less per sample but more memory
+# (measured in BENCH_batched_oracle.json).
+_CHUNK = 6
+
 
 class EllipticControlProblem:
     """Sparse distributed control of an elliptic PDE with a random coefficient.
@@ -31,9 +36,9 @@ class EllipticControlProblem:
     dofs would be frozen spectators and are dropped from the control space.
 
     solve_method "lu" (the default) solves every state and adjoint equation
-    with a banded Cholesky factorization of the sample's stiffness; "cg" uses
-    conjugate gradients with the cg settings and serves as an independent
-    check of that path.
+    with a banded Cholesky factorization of the sample's stiffness, a stack
+    of samples at a time; "cg" uses conjugate gradients with the cg settings,
+    one sample at a time, and serves as an independent check of that path.
     """
 
     def __init__(self, mesh: fem.StructuredMesh, alpha: float, beta: float,
@@ -57,6 +62,9 @@ class EllipticControlProblem:
         self.y_d = fem.checkerboard_target(mesh) if y_d is None else np.asarray(y_d, float)
         if self.y_d.shape != (mesh.n_nodes,):
             raise ValueError("y_d does not match the mesh")
+        # factor storage for a stack of up to _CHUNK oracle samples, reused
+        # by every grad call so that no chunk allocates it afresh
+        self._work = None
 
     @property
     def dim(self) -> int:
@@ -71,6 +79,11 @@ class EllipticControlProblem:
     def draw_sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(-1.0, 1.0, size=4)
 
+    def draw_samples(self, rng: np.random.Generator, m: int) -> np.ndarray:
+        """m samples, (m, 4): the same values and generator state as m
+        draw_sample calls."""
+        return rng.uniform(-1.0, 1.0, size=(m, 4))
+
     def operators(self, xi: np.ndarray) -> fem.AssembledOperators:
         return fem.assemble(self.mesh, xi)
 
@@ -80,11 +93,41 @@ class EllipticControlProblem:
         return fem.solve_state(ops, self._full(u), cfg=self.cg, method=self.solve_method)
 
     def grad(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """Per-sample gradient alpha*u + p via the adjoint solve."""
-        ops = self.operators(xi)
+        """Per-sample gradient alpha*u + p via the adjoint solve, for one
+        sample xi (4,), or (m, dim), one row per sample, for a stack (m, 4).
+
+        The direct solve treats one sample as a stack of one: the stack is
+        assembled and factored at once, and its states and adjoints are
+        solved at once. A stiffness that is not positive definite anywhere
+        in the stack raises LinAlgError.
+        """
+        xis = np.asarray(xi, dtype=float)
+        if self.solve_method == "cg":  # one sample at a time
+            if xis.ndim == 2:
+                return np.array([self.grad(u, x) for x in xis])
+            ops = self.operators(xis)
+        else:  # one sample is a stack of one
+            ops = self.operators(np.atleast_2d(xis))
+            ops.factorized(out=self._factor_storage(ops.stack_shape[0]))
         y = fem.solve_state(ops, self._full(u), cfg=self.cg, method=self.solve_method)
         p = fem.solve_adjoint(ops, y, self.y_d, cfg=self.cg, method=self.solve_method)
-        return self.alpha * u + p[self.mesh.interior]
+        g = self.alpha * u + p[..., self.mesh.interior]
+        return g.reshape(xis.shape[:-1] + g.shape[-1:])
+
+    def _factor_storage(self, m: int) -> fem.RedBlackFactor | None:
+        """The reused factor storage for a stack of m <= _CHUNK samples; a
+        larger stack gets new storage."""
+        if m > _CHUNK:
+            return None
+        if self._work is None:
+            self._work = fem.RedBlackFactor.empty(self.mesh, _CHUNK)
+        return self._work[:m]
+
+    def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
+        """The per-sample gradients at u of n fresh samples, in draw order,
+        computed _CHUNK samples at a time."""
+        for start in range(0, n, _CHUNK):
+            yield from self.grad(u, self.draw_samples(rng, min(_CHUNK, n - start)))
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
         ops = self.operators(xi)
@@ -94,8 +137,8 @@ class EllipticControlProblem:
 
     def averaged_grad(self, u: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
         acc = np.zeros(self.dim)
-        for _ in range(m):
-            acc += self.grad(u, self.draw_sample(rng))
+        for g in self.sample_grads(u, rng, m):
+            acc += g
         return acc / m
 
 
@@ -138,6 +181,11 @@ class QuadraticProblem:
         r = self.A @ u - self.b
         return 0.5 * float(r @ r) + 0.5 * self.alpha * float(u @ u)
 
+    def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
+        """The per-sample gradients at u of n fresh noise draws, in draw order."""
+        for _ in range(n):
+            yield self.grad(u, self.draw_sample(rng))
+
     def averaged_grad(self, u: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
         noise = self.sigma * rng.standard_normal((m, self.dim)).mean(axis=0)
         return self.exact_grad(u) + noise
@@ -163,11 +211,12 @@ def empirical_objective(problem, u: np.ndarray, samples) -> float:
 class FrozenEvalSet:
     """A sample set drawn once and reused for every telemetry evaluation.
 
-    For the elliptic problem each sample's stiffness is assembled and
-    factored once (red-black elimination, then a banded Cholesky factor of
-    the black Schur complement) and only the factors are kept. Scoring a
-    stack of iterates splits the loads, the target and the weights by
-    colour once, then costs one multi-right-hand-side solve per sample.
+    For the elliptic problem the samples' stiffnesses are assembled and
+    factored once, _CHUNK samples at a time (red-black elimination, then a
+    banded Cholesky factor of each black Schur complement), and only the
+    factors are kept, as one stack. Scoring a stack of iterates splits the
+    loads, the target and the weights by colour once, then costs one
+    multi-right-hand-side solve per sample.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -180,10 +229,13 @@ class FrozenEvalSet:
         self._ops = None
         self._factors = None
         if isinstance(problem, EllipticControlProblem):
-            self._factors = [problem.operators(xi).factorized()
-                             for xi in self.samples]
             mesh = problem.mesh
-            rb = self._factors[0].ordering
+            xis = np.array(self.samples)
+            self._factors = fem.RedBlackFactor.empty(mesh, n_samples)
+            for start in range(0, n_samples, _CHUNK):
+                chunk = slice(start, start + _CHUNK)
+                problem.operators(xis[chunk]).factorized(out=self._factors[chunk])
+            rb = self._factors.ordering
             y_d = problem.y_d[mesh.interior]
             # (nodes, target, weights) of the red and of the black nodes
             self._colours = [(idx, y_d[idx], problem.weights[idx])

@@ -18,6 +18,20 @@ def write_cfg(tmp_path, **overrides):
     return path
 
 
+# config values that a solver layer would reject once the run started, by
+# the field the error message must name
+REJECTED_BELOW_CONFIG = {
+    "l_est_calls": {"l_est_calls": 0},
+    "mu": {"mu": 1.5},
+    "batch_floor": {"batch_floor": 0},
+    "quad_sigma": {"quad_sigma": -1},
+    "mesh_h": {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.3},
+    "u_min": {"u_min": 7.0},
+    "batch_rule": {"batch_rule": "linear"},
+    "beta": {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.25, "beta": -1.0},
+}
+
+
 class TestExitCodes:
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         rc = cli.main(["run", "--config", str(tmp_path / "absent.json")])
@@ -45,6 +59,16 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "solve_method" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", list(REJECTED_BELOW_CONFIG))
+    def test_value_a_solver_layer_rejects_is_config_error(self, tmp_path, capsys,
+                                                          field):
+        cfg = write_cfg(tmp_path, **REJECTED_BELOW_CONFIG[field])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and field in err
         assert not out.exists()
 
     def test_rate_requires_reference_problem(self, tmp_path):

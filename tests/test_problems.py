@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import spsolve
 
-from sadmm import fem
+from sadmm import fem, problems
 from sadmm.hilbert import project_box, soft_threshold, wdot, wnorm
+from sadmm.optim import estimate_L
 from sadmm.problems import (EllipticControlProblem, FrozenEvalSet,
                             QuadraticProblem, empirical_objective,
                             nonsmooth_value, reference_optimum)
+from test_fem import reference_stiffness
 
 
 def make_quadratic(dim=10, alpha=0.5, beta=0.2, sigma=0.3, seed=0):
@@ -129,6 +133,63 @@ class TestEllipticProblem:
                           for _ in range(3)], axis=0)
         np.testing.assert_allclose(avg, manual, rtol=1e-14)
 
+    @pytest.mark.parametrize("level", [3, 5])
+    def test_stacked_grad_matches_reference_solves(self, level):
+        # state and adjoint by spsolve on an independent COO assembly; the
+        # stacks of one, of a whole chunk and of 13 reuse the oracle's
+        # factor storage one after another
+        prob = EllipticControlProblem(fem.build_mesh(2.0 ** -level),
+                                      alpha=1e-3, beta=1e-3)
+        mesh, w = prob.mesh, prob.weights
+        rng = np.random.default_rng(20 + level)
+        u = rng.uniform(-3.0, 3.0, size=prob.dim)
+        y_d = prob.y_d[mesh.interior]
+        for m in (1, problems._CHUNK, 13):
+            xis = prob.draw_samples(rng, m)
+            grads = prob.grad(u, xis)
+            assert grads.shape == (m, prob.dim)
+            for xi, g in zip(xis, grads):
+                K = reference_stiffness(mesh, xi).tocsc()
+                y = spsolve(K, w * u)
+                expected = prob.alpha * u + spsolve(K, w * (y - y_d))
+                assert (np.linalg.norm(g - expected)
+                        <= 1e-12 * np.linalg.norm(expected))
+        # one sample is a stack of one
+        np.testing.assert_array_equal(prob.grad(u, xis[4]), grads[4])
+
+    def test_averaged_grad_draws_like_sequential_samples(self, elliptic):
+        rng1 = np.random.Generator(np.random.Philox(3))
+        rng2 = np.random.Generator(np.random.Philox(3))
+        elliptic.averaged_grad(np.ones(elliptic.dim), rng1, 13)
+        for _ in range(13):
+            elliptic.draw_sample(rng2)
+        # Philox keeps its counter, key and buffer as small arrays
+        assert repr(rng1.bit_generator.state) == repr(rng2.bit_generator.state)
+        np.testing.assert_array_equal(rng1.random(5), rng2.random(5))
+
+    @pytest.mark.parametrize("colour", ["red", "black"])
+    def test_indefinite_sample_inside_stack_raises(self, elliptic, colour):
+        # sample 1 of 3 gets a negative red pivot (checked before the Schur
+        # complement is formed) or black pivot (rejected by dpbtrf)
+        mesh = elliptic.mesh
+        ops = fem.assemble(mesh, elliptic.draw_samples(np.random.default_rng(4), 3))
+        n_red, _ = ops.factorized().ordering.shape
+        stencil = ops.stencil.copy()
+        stencil[1, 0 if colour == "red" else n_red] = -1.0
+        bad = fem.AssembledOperators(mesh=mesh, band=None, mass=ops.mass,
+                                     lumped=ops.lumped, stencil=stencil)
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            fem.solve_state(bad, np.ones(mesh.n_nodes))
+
+    def test_estimate_l_is_mean_of_sample_norms(self, elliptic):
+        u = np.linspace(-1.0, 1.0, elliptic.dim)
+        rng1 = np.random.Generator(np.random.Philox(5))
+        rng2 = np.random.Generator(np.random.Philox(5))
+        norms = [wnorm(elliptic.grad(u, elliptic.draw_sample(rng2)),
+                       elliptic.weights) for _ in range(13)]
+        assert estimate_L(elliptic, u, rng1, n_calls=13) == pytest.approx(
+            np.mean(norms), rel=1e-14)
+
     def test_samples_stay_in_cube(self, elliptic):
         rng = np.random.default_rng(9)
         for _ in range(100):
@@ -161,6 +222,19 @@ class TestObjectives:
     def test_frozen_eval_set_matches_empirical_objective(self, elliptic):
         u = np.linspace(-1.0, 1.0, elliptic.dim)
         ev = FrozenEvalSet(elliptic, 4, 0)
+        assert ev.objective(u) == pytest.approx(
+            empirical_objective(elliptic, u, ev.samples), rel=1e-10)
+
+    @pytest.mark.parametrize("n_samples", [5, 11])
+    def test_eval_set_factors_outlive_oracle_calls(self, elliptic, n_samples):
+        # the oracle factors into storage it reuses; the eval set's factors,
+        # within one stack or over several, must not share it
+        u = np.linspace(-1.0, 1.0, elliptic.dim)
+        ev = FrozenEvalSet(elliptic, n_samples, 0)
+        before = ev.objective(u)
+        elliptic.averaged_grad(u, np.random.default_rng(12), 13)
+        assert ev.objective(u) == before
+        assert before == FrozenEvalSet(elliptic, n_samples, 0).objective(u)
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
 
