@@ -2,13 +2,11 @@
 with sparse optimal control of a random-coefficient elliptic PDE."""
 
 from .hilbert import project_box, soft_threshold, wdot, weighted_l1, wnorm
-from .linsolve import CgConfig, CgNonConvergence, CgResult, cg_solve, matvec
 from .fem import (AssembledOperators, StructuredMesh, assemble, build_mesh,
                   checkerboard_target, coefficient, interpolate, l2_error,
                   solve_adjoint, solve_state)
 from .problems import (EllipticControlProblem, FrozenEvalSet,
-                       QuadraticProblem, empirical_objective, nonsmooth_value,
-                       reference_optimum)
+                       QuadraticProblem, nonsmooth_value, reference_optimum)
 from .optim import (AdaSgSolver, AdmmParams, AdmmSolver, AdmmState,
                     BatchSchedule, NumericalFailure, SpgSolver, SsgSolver,
                     derive_convex_params, derive_strongly_convex_params,

@@ -21,18 +21,19 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-# Not called: perfbench/child.py wraps fem.splu by name when it traces a run.
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from .hilbert import check_weights, wnorm
-from .linsolve import CgConfig, cg_solve
+
+# Placeholders, never called: perfbench/child.py wraps these two names when it
+# traces a run, until its tracer is re-keyed to red_black_cholesky (ROADMAP
+# item 1).
+splu = cg_solve = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,47 +380,25 @@ class AssembledOperators:
 
     The direct solve reads the interior stiffness only at its stencil (see
     RedBlackOrdering), held in `stencil` as (n_stencil,) for one sample or
-    (m, n_stencil) for a stack. One sample also carries the stiffness in
-    LAPACK upper band storage, `band` (bw + 1, n), for CG and for checks;
-    operators made from a band alone read their stencil from it. A stack has
-    no band.
+    (m, n_stencil) for a stack.
     """
 
     mesh: StructuredMesh
-    band: np.ndarray | None
     mass: sp.csr_matrix  # full consistent mass
     lumped: np.ndarray  # row sums of mass, all nodes
-    stencil: np.ndarray | None = None
+    stencil: np.ndarray
     _factor: RedBlackFactor | None = field(default=None, repr=False)
 
     @property
     def stack_shape(self) -> tuple:
         """() for one sample, (m,) for a stack of m."""
-        return () if self.stencil is None else self.stencil.shape[:-1]
-
-    @cached_property
-    def stiffness(self) -> sp.csr_matrix:
-        """Interior stiffness as CSR, built from the band on first use (CG and
-        checks only; the direct solve works on the stencil)."""
-        if self.band is None:
-            raise ValueError("a stack of samples has no band storage; "
-                             "assemble one sample at a time")
-        bw, n = self.band.shape[0] - 1, self.band.shape[1]
-        # row k of the band holds superdiagonal bw - k, indexed by column
-        upper = sp.dia_matrix((self.band, bw - np.arange(bw + 1)), shape=(n, n))
-        full = (upper + sp.triu(upper, k=1).T).tocsr()
-        full.eliminate_zeros()
-        return full
+        return self.stencil.shape[:-1]
 
     def factorized(self, out: RedBlackFactor | None = None) -> RedBlackFactor:
         """Cached red-black factor of the interior stiffness; the first call
         on a stack may pass storage for it (see red_black_cholesky)."""
         if self._factor is None:
-            stencil = self.stencil
-            if stencil is None:
-                positions = _geometry(self.mesh).red_black.stencil_positions
-                stencil = self.band.reshape(-1)[positions]
-            self._factor = red_black_cholesky(stencil, self.mesh, out=out)
+            self._factor = red_black_cholesky(self.stencil, self.mesh, out=out)
         return self._factor
 
 
@@ -463,9 +442,10 @@ class _MeshGeometry:
         self.lumped = check_weights(np.asarray(self.mass.sum(axis=1)).ravel(),
                                     domain_area=1.0)
 
-        # the eliminated (interior-only) stiffness in LAPACK upper band
-        # storage: entry (r, c), r <= c, goes to band[bw + r - c, c]. The
-        # half-bandwidth bw is the widest coupling in the interior numbering.
+        # entries of the eliminated (interior-only) stiffness are located by
+        # their place in LAPACK upper band storage: entry (r, c), r <= c, at
+        # band[bw + r - c, c]. The half-bandwidth bw is the widest coupling
+        # in the interior numbering.
         int_number = np.full(n, -1, dtype=np.int64)
         int_number[mesh.interior] = np.arange(mesh.interior.size)
         r = int_number[rows]
@@ -474,7 +454,6 @@ class _MeshGeometry:
         r, c = r[sel], c[sel]
         n_int = mesh.interior.size
         bw = int((c - r).max(initial=0))
-        self.band_shape = (bw + 1, n_int)
         band_index = (bw + r - c) * n_int + c
         band_k_geo = k_geo.ravel()[sel]
 
@@ -487,7 +466,7 @@ class _MeshGeometry:
             raise ValueError("the stiffness couples two nodes of one colour, "
                              "so red-black elimination does not apply")
         self.red_black = RedBlackOrdering(
-            red, np.unique(band_index[coupled]), self.band_shape)
+            red, np.unique(band_index[coupled]), (bw + 1, n_int))
 
         # stencil value j sums k_geo * a(centroid) over the triangles that
         # share the entry, in ascending triangle order; entries off the
@@ -518,8 +497,7 @@ def _geometry(mesh: StructuredMesh) -> _MeshGeometry:
 def assemble(mesh: StructuredMesh, xi: np.ndarray) -> AssembledOperators:
     """Stiffness (coefficient at centroids, Dirichlet rows/cols eliminated),
     consistent mass and lumped weights, for one sample xi (4,) or a stack
-    (m, 4). The stiffness is given at its stencil, and for one sample also
-    in upper band storage."""
+    (m, 4). The stiffness is given at its stencil."""
     geo = _geometry(mesh)
     xi = check_sample(xi)
     # the coefficient fields at the centroids, one per sample, from modes
@@ -529,49 +507,32 @@ def assemble(mesh: StructuredMesh, xi: np.ndarray) -> AssembledOperators:
     fields = np.matmul(geo.centroid_modes, np.atleast_2d(xi)[:, :, None])
     np.exp(fields, out=fields)
     stencil = (geo.stencil_matrix @ fields[:, :, 0].T).T
-    band = None
-    if xi.ndim == 1:
-        stencil = stencil[0]
-        band = np.zeros(geo.band_shape)
-        band.reshape(-1)[geo.red_black.stencil_positions] = stencil
-    return AssembledOperators(mesh=mesh, band=band, mass=geo.mass,
-                              lumped=geo.lumped, stencil=stencil)
+    return AssembledOperators(mesh=mesh, mass=geo.mass, lumped=geo.lumped,
+                              stencil=stencil[0] if xi.ndim == 1 else stencil)
 
 
-def _solve_interior(ops: AssembledOperators, rhs_int: np.ndarray,
-                    cfg: CgConfig | None, method: str) -> np.ndarray:
-    if method == "lu":
-        return band_solve(ops.factorized(), rhs_int)
-    if method == "cg":
-        return cg_solve(ops.stiffness, rhs_int, cfg or CgConfig()).x
-    raise ValueError(f"unknown solve method {method!r}")
-
-
-def solve_state(ops: AssembledOperators, u: np.ndarray,
-                cfg: CgConfig | None = None, method: str = "lu") -> np.ndarray:
+def solve_state(ops: AssembledOperators, u: np.ndarray) -> np.ndarray:
     """Solve the discrete state equation K y = W u with zero boundary values.
 
     The load uses the lumped weights W so that the adjoint gradient below is
-    exact for the discrete objective. method "lu" is the direct solve (a
-    red-black banded Cholesky factorization, cached on ops); "cg" runs
-    Jacobi-preconditioned conjugate gradients with cfg, one sample only.
-    Operators of a stack of m samples give one state per sample with the
-    same control, shape (m, n_nodes).
+    exact for the discrete objective. The solve is direct: a red-black banded
+    Cholesky factorization, cached on ops. Operators of a stack of m samples
+    give one state per sample with the same control, shape (m, n_nodes).
     """
     u = np.asarray(u, dtype=float)
     mesh = ops.mesh
     rhs = (ops.lumped * u)[mesh.interior]
     lead = ops.stack_shape
     y = np.zeros(lead + (mesh.n_nodes,))
-    y[..., mesh.interior] = _solve_interior(
-        ops, np.broadcast_to(rhs, lead + rhs.shape), cfg, method)
+    y[..., mesh.interior] = band_solve(ops.factorized(),
+                                       np.broadcast_to(rhs, lead + rhs.shape))
     return y
 
 
-def solve_adjoint(ops: AssembledOperators, y: np.ndarray, y_d: np.ndarray,
-                  cfg: CgConfig | None = None, method: str = "lu") -> np.ndarray:
+def solve_adjoint(ops: AssembledOperators, y: np.ndarray,
+                  y_d: np.ndarray) -> np.ndarray:
     """Solve the adjoint equation K p = W (y - y_d) with zero boundary values
-    (method as in solve_state; for a stack, y holds one state per sample)."""
+    (as in solve_state; for a stack, y holds one state per sample)."""
     y = np.asarray(y, dtype=float)
     y_d = np.asarray(y_d, dtype=float)
     if y.shape[-1:] != y_d.shape:
@@ -579,7 +540,7 @@ def solve_adjoint(ops: AssembledOperators, y: np.ndarray, y_d: np.ndarray,
     mesh = ops.mesh
     rhs = (ops.lumped * (y - y_d))[..., mesh.interior]
     p = np.zeros(y.shape)
-    p[..., mesh.interior] = _solve_interior(ops, rhs, cfg, method)
+    p[..., mesh.interior] = band_solve(ops.factorized(), rhs)
     return p
 
 

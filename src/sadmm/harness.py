@@ -55,9 +55,6 @@ class ExperimentConfig:
     batch_p: float = 1.1
     batch_floor: int = 1
     out_dir: str | None = None
-    # elliptic solver used on the optimization path: "lu" is the banded
-    # Cholesky direct solve, "cg" conjugate gradients
-    solve_method: str = "lu"
     u_min: float = -6.0
     u_max: float = 6.0
     # quadratic instance knobs
@@ -82,9 +79,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.regime == "strongly_convex" and self.alpha <= 0.0:
             raise ConfigError("strongly_convex regime requires alpha > 0")
-        if self.solve_method not in ("lu", "cg"):
-            raise ConfigError(f"unknown solve_method {self.solve_method!r}; "
-                              "expected 'lu' or 'cg'")
         # values the solver layers would reject once the experiment runs
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ConfigError("alpha and beta must be nonnegative")
@@ -101,6 +95,13 @@ class ExperimentConfig:
             raise ConfigError(f"l_est_calls must be >= 1, got {self.l_est_calls}")
         if self.quad_sigma < 0.0:
             raise ConfigError(f"quad_sigma must be nonnegative, got {self.quad_sigma}")
+        # values that make a method meaningless: an empty quadratic problem,
+        # an SSG or AdaSG step that never moves, or a nonpositive AdaSG eps
+        if self.problem == "quadratic" and self.quad_dim < 1:
+            raise ConfigError(f"quad_dim must be >= 1, got {self.quad_dim}")
+        for name in ("ssg_c", "ada_gamma", "ada_eps"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.problem == "elliptic":
             try:
                 fem.grid_divisions(self.mesh_h)
@@ -160,8 +161,7 @@ def build_problem(cfg: ExperimentConfig):
     if cfg.problem == "elliptic":
         mesh = fem.build_mesh(cfg.mesh_h)
         return EllipticControlProblem(mesh, cfg.alpha, cfg.beta,
-                                      u_min=cfg.u_min, u_max=cfg.u_max,
-                                      solve_method=cfg.solve_method)
+                                      u_min=cfg.u_min, u_max=cfg.u_max)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence((cfg.seed, _QUAD_TAG))))
     n = cfg.quad_dim
@@ -436,7 +436,7 @@ def grad_check(mesh_h: float = 2.0 ** -4, alpha: float = 1e-5, beta: float = 1e-
     """Central finite differences of the per-sample smooth value against the
     adjoint gradient, at random controls and directions."""
     mesh = fem.build_mesh(mesh_h)
-    problem = EllipticControlProblem(mesh, alpha, beta, solve_method="cg")
+    problem = EllipticControlProblem(mesh, alpha, beta)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     w = problem.weights
     details = []
@@ -465,7 +465,7 @@ def fem_verify(h_list=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
     for h in h_list:
         mesh = fem.build_mesh(h)
         ops = fem.assemble(mesh, np.zeros(4))
-        y = fem.solve_state(ops, fem.interpolate(mesh, forcing), method="cg")
+        y = fem.solve_state(ops, fem.interpolate(mesh, forcing))
         errors.append(fem.l2_error(y, exact, mesh, ops.lumped))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     ok = all(order_range[0] <= o <= order_range[1] for o in orders)

@@ -10,16 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_field(a: np.ndarray) -> np.ndarray:
-    """Validate a nodal vector: 1-d, finite entries."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise ValueError(f"nodal field must be 1-d, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("nodal field contains non-finite entries")
-    return a
-
-
 def check_weights(w: np.ndarray, domain_area: float | None = None) -> np.ndarray:
     """Validate lumped weights: strictly positive, optionally summing to the domain area."""
     w = np.asarray(w, dtype=float)

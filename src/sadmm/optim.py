@@ -11,7 +11,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -82,26 +81,21 @@ def derive_convex_params(beta: float, mu: float, l_hat: float) -> AdmmParams:
 
 @dataclass(frozen=True)
 class BatchSchedule:
-    rule: str = "paper_power"  # "paper_power" | "constant" | "custom"
+    rule: str = "paper_power"  # "paper_power" | "constant"
     c: float = 0.5
     p: float = 1.1
     floor: int = 1
-    custom: Callable[[int], int] | None = None
 
     def __post_init__(self):
         if self.floor < 1:
             raise ValueError("batch floor must be >= 1")
-        if self.rule not in ("paper_power", "constant", "custom"):
+        if self.rule not in ("paper_power", "constant"):
             raise ValueError(f"unknown batch rule {self.rule!r}")
-        if self.rule == "custom" and self.custom is None:
-            raise ValueError("custom batch rule needs a callable")
 
     def size(self, k: int) -> int:
         if self.rule == "paper_power":
             return max(self.floor, math.ceil(self.c * k ** self.p))
-        if self.rule == "constant":
-            return self.floor
-        return max(self.floor, int(self.custom(k)))
+        return self.floor
 
 
 @dataclass

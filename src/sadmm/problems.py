@@ -15,7 +15,6 @@ import numpy as np
 from . import fem
 from .hilbert import (project_box, soft_threshold, wdot, wdot_rows,
                       weighted_l1, weighted_l1_rows, wnorm)
-from .linsolve import CgConfig
 
 # Oracle samples, and eval samples at build time, are assembled and factored
 # in stacks of this many: larger stacks cost less per sample but more memory
@@ -35,16 +34,13 @@ class EllipticControlProblem:
     lumped load row is eliminated with the Dirichlet condition), so boundary
     dofs would be frozen spectators and are dropped from the control space.
 
-    solve_method "lu" (the default) solves every state and adjoint equation
-    with a banded Cholesky factorization of the sample's stiffness, a stack
-    of samples at a time; "cg" uses conjugate gradients with the cg settings,
-    one sample at a time, and serves as an independent check of that path.
+    Every state and adjoint equation is solved directly, by a red-black
+    banded Cholesky factorization of the sample's stiffness (see fem).
     """
 
     def __init__(self, mesh: fem.StructuredMesh, alpha: float, beta: float,
                  y_d: np.ndarray | None = None,
-                 u_min: float = -6.0, u_max: float = 6.0,
-                 solve_method: str = "lu", cg: CgConfig | None = None):
+                 u_min: float = -6.0, u_max: float = 6.0):
         if alpha < 0.0 or beta < 0.0:
             raise ValueError("alpha and beta must be nonnegative")
         if u_min >= u_max:
@@ -54,8 +50,6 @@ class EllipticControlProblem:
         self.beta = beta
         self.u_min = u_min
         self.u_max = u_max
-        self.solve_method = solve_method
-        self.cg = cg or CgConfig()
         # mass and lumped weights do not depend on the coefficient sample
         self.state_weights = fem.assemble(mesh, np.zeros(4)).lumped
         self.weights = self.state_weights[mesh.interior]
@@ -90,28 +84,25 @@ class EllipticControlProblem:
     def state(self, u: np.ndarray, xi: np.ndarray,
               ops: fem.AssembledOperators | None = None) -> np.ndarray:
         ops = ops or self.operators(xi)
-        return fem.solve_state(ops, self._full(u), cfg=self.cg, method=self.solve_method)
+        return fem.solve_state(ops, self._full(u))
 
     def grad(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Per-sample gradient alpha*u + p via the adjoint solve, for one
         sample xi (4,), or (m, dim), one row per sample, for a stack (m, 4).
 
-        The direct solve treats one sample as a stack of one: the stack is
-        assembled and factored at once, and its states and adjoints are
-        solved at once. A stiffness that is not positive definite anywhere
-        in the stack raises LinAlgError.
+        One sample is a stack of one: the stack is assembled and factored at
+        once, and its states and adjoints are solved at once. A stiffness that
+        is not positive definite anywhere in the stack raises LinAlgError.
+        The rows are C-contiguous, so a row's value under any reduction
+        (wnorm in estimate_L) does not depend on the stack it came from.
         """
         xis = np.asarray(xi, dtype=float)
-        if self.solve_method == "cg":  # one sample at a time
-            if xis.ndim == 2:
-                return np.array([self.grad(u, x) for x in xis])
-            ops = self.operators(xis)
-        else:  # one sample is a stack of one
-            ops = self.operators(np.atleast_2d(xis))
-            ops.factorized(out=self._factor_storage(ops.stack_shape[0]))
-        y = fem.solve_state(ops, self._full(u), cfg=self.cg, method=self.solve_method)
-        p = fem.solve_adjoint(ops, y, self.y_d, cfg=self.cg, method=self.solve_method)
-        g = self.alpha * u + p[..., self.mesh.interior]
+        ops = self.operators(np.atleast_2d(xis))
+        ops.factorized(out=self._factor_storage(ops.stack_shape[0]))
+        y = fem.solve_state(ops, self._full(u))
+        p = fem.solve_adjoint(ops, y, self.y_d)
+        # np.take, unlike p[:, interior], gives a C-ordered block
+        g = self.alpha * u + np.take(p, self.mesh.interior, axis=1)
         return g.reshape(xis.shape[:-1] + g.shape[-1:])
 
     def _factor_storage(self, m: int) -> fem.RedBlackFactor | None:
@@ -131,7 +122,7 @@ class EllipticControlProblem:
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
         ops = self.operators(xi)
-        y = fem.solve_state(ops, self._full(u), cfg=self.cg, method=self.solve_method)
+        y = fem.solve_state(ops, self._full(u))
         return (0.5 * wnorm(y - self.y_d, self.state_weights) ** 2
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
@@ -197,15 +188,6 @@ class QuadraticProblem:
 def nonsmooth_value(problem, u: np.ndarray) -> float:
     """beta * lumped L1 norm of u."""
     return problem.beta * weighted_l1(u, problem.weights)
-
-
-def empirical_objective(problem, u: np.ndarray, samples) -> float:
-    """Average smooth value over a fixed sample list plus the L1 term."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("sample list must be nonempty")
-    mean = sum(problem.smooth_value(u, s) for s in samples) / len(samples)
-    return mean + nonsmooth_value(problem, u)
 
 
 class FrozenEvalSet:

@@ -18,8 +18,8 @@ def write_cfg(tmp_path, **overrides):
     return path
 
 
-# config values that a solver layer would reject once the run started, by
-# the field the error message must name
+# config values that a solver layer would reject once the run started, or
+# that make a method meaningless, by the field the error message must name
 REJECTED_BELOW_CONFIG = {
     "l_est_calls": {"l_est_calls": 0},
     "mu": {"mu": 1.5},
@@ -29,6 +29,10 @@ REJECTED_BELOW_CONFIG = {
     "u_min": {"u_min": 7.0},
     "batch_rule": {"batch_rule": "linear"},
     "beta": {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.25, "beta": -1.0},
+    "quad_dim": {"quad_dim": 0},
+    "ssg_c": {"ssg_c": 0},
+    "ada_gamma": {"ada_gamma": 0},
+    "ada_eps": {"ada_eps": -1},
 }
 
 
@@ -54,8 +58,9 @@ class TestExitCodes:
                          "--methods", "admm,sgd"]) == 2
 
     def test_unknown_solve_method_is_config_error(self, tmp_path, capsys):
+        # the direct solve is the only one, so the key itself is unknown
         cfg = write_cfg(tmp_path, problem="elliptic", alpha=1e-4,
-                        mesh_h=0.25, solve_method="qr")
+                        mesh_h=0.25, solve_method="lu")
         out = tmp_path / "out"
         assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "solve_method" in capsys.readouterr().err

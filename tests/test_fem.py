@@ -8,7 +8,6 @@ from scipy.sparse.linalg import spsolve
 
 from sadmm import fem
 from sadmm.hilbert import wdot
-from sadmm.linsolve import check_spd_structure
 
 
 def reference_stiffness(mesh, xi):
@@ -28,6 +27,35 @@ def reference_stiffness(mesh, xi):
     n = mesh.interior.size
     return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
                          shape=(n, n)).tocsr()
+
+
+def check_spd_structure(A, rtol=1e-12):
+    """Verify stored-entry symmetry and a strictly positive diagonal."""
+    A = sp.csr_matrix(A)
+    diff = abs(A - A.T)
+    scale = max(abs(A).max(), 1e-300)
+    if diff.nnz and diff.max() > rtol * scale:
+        raise ValueError("matrix is not symmetric within tolerance")
+    if np.any(A.diagonal() <= 0.0):
+        raise ValueError("matrix diagonal has non-positive entries")
+
+
+def stencil_band(mesh, stencil):
+    """One sample's interior stiffness in LAPACK upper band storage, placed
+    from its stencil values at the positions the red-black ordering gives;
+    the pivots fill the last row, so it fixes the bandwidth."""
+    positions = fem._geometry(mesh).red_black.stencil_positions
+    n = mesh.interior.size
+    band = np.zeros((positions.max() // n + 1, n))
+    band.reshape(-1)[positions] = stencil
+    return band
+
+
+def pivot(mesh, node):
+    """Index in the stencil of an interior node's pivot: red pivots first,
+    then black, each in interior order."""
+    rb = fem._geometry(mesh).red_black
+    return int(np.nonzero(np.concatenate([rb.red, rb.black]) == node)[0][0])
 
 
 def band_to_dense(band):
@@ -118,16 +146,16 @@ class TestAssembly:
         T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1])
         expected = (sp.kron(sp.eye(n), T) + sp.kron(T, sp.eye(n))).toarray()
-        np.testing.assert_allclose(ops4.stiffness.toarray(), expected,
-                                   atol=1e-13)
+        stiffness = band_to_dense(stencil_band(mesh4, ops4.stencil))
+        np.testing.assert_allclose(stiffness, expected, atol=1e-13)
 
     def test_stiffness_spd(self, mesh4):
         rng = np.random.default_rng(2)
         for _ in range(3):
             ops = fem.assemble(mesh4, rng.uniform(-1, 1, size=4))
-            check_spd_structure(ops.stiffness)
-            evals = np.linalg.eigvalsh(ops.stiffness.toarray())
-            assert evals.min() > 0.0
+            stiffness = band_to_dense(stencil_band(mesh4, ops.stencil))
+            check_spd_structure(stiffness)
+            assert np.linalg.eigvalsh(stiffness).min() > 0.0
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_band_matches_coo_assembly(self, level):
@@ -136,14 +164,12 @@ class TestAssembly:
         side = 2 ** level - 1  # interior nodes per grid line
         for _ in range(2):
             xi = rng.uniform(-1, 1, size=4)
-            ops = fem.assemble(mesh, xi)
+            band = stencil_band(mesh, fem.assemble(mesh, xi).stencil)
             # lexicographic numbering: the widest coupling is the diagonal
             # neighbour one grid line up
-            assert ops.band.shape == (side + 2, side * side)
+            assert band.shape == (side + 2, side * side)
             expected = reference_stiffness(mesh, xi).toarray()
-            np.testing.assert_allclose(band_to_dense(ops.band), expected,
-                                       rtol=1e-14, atol=0.0)
-            np.testing.assert_allclose(ops.stiffness.toarray(), expected,
+            np.testing.assert_allclose(band_to_dense(band), expected,
                                        rtol=1e-14, atol=0.0)
 
     def test_mass_symmetric_and_lumped_sums_to_area(self, ops4):
@@ -183,16 +209,6 @@ class TestSolves:
             y = fem.solve_state(ops, rng.uniform(0.0, 2.0, size=25))
             assert y.min() >= -1e-12
 
-    def test_lu_and_cg_agree(self, mesh4):
-        rng = np.random.default_rng(5)
-        ops = fem.assemble(mesh4, rng.uniform(-1, 1, size=4))
-        u = rng.standard_normal(25)
-        np.testing.assert_allclose(fem.solve_state(ops, u, method="cg"),
-                                   fem.solve_state(ops, u, method="lu"),
-                                   rtol=1e-8, atol=1e-12)
-        with pytest.raises(ValueError, match="unknown solve method"):
-            fem.solve_state(ops, u, method="qr")
-
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_direct_solve_matches_spsolve(self, level):
         # level 1 has a single (red) interior node and an empty Schur system
@@ -229,20 +245,20 @@ class TestSolves:
                                           fem.band_solve(factor, rhs[:, j]))
 
     def test_indefinite_band_raises(self, mesh4, ops4):
-        band = ops4.band.copy()
-        band[-1, 4] = -1.0  # a negative diagonal entry
-        bad = fem.AssembledOperators(mesh=mesh4, band=band, mass=ops4.mass,
-                                     lumped=ops4.lumped)
+        stencil = ops4.stencil.copy()
+        stencil[pivot(mesh4, 4)] = -1.0  # a negative diagonal entry
+        bad = fem.AssembledOperators(mesh=mesh4, mass=ops4.mass,
+                                     lumped=ops4.lumped, stencil=stencil)
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.solve_state(bad, np.ones(25))
 
     def test_indefinite_black_pivot_raises(self, mesh4, ops4):
         # node 1 is black: its pivot reaches dpbtrf through the Schur
         # complement, while node 4 above is a red pivot checked before S
-        band = ops4.band.copy()
-        band[-1, 1] = -1.0
-        bad = fem.AssembledOperators(mesh=mesh4, band=band, mass=ops4.mass,
-                                     lumped=ops4.lumped)
+        stencil = ops4.stencil.copy()
+        stencil[pivot(mesh4, 1)] = -1.0
+        bad = fem.AssembledOperators(mesh=mesh4, mass=ops4.mass,
+                                     lumped=ops4.lumped, stencil=stencil)
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.solve_state(bad, np.ones(25))
 

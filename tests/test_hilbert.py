@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sadmm.hilbert import (check_field, check_weights, project_box,
+from sadmm.hilbert import (check_weights, project_box,
                            soft_threshold, wdot, wdot_rows, weighted_l1,
                            weighted_l1_rows, wnorm)
 
@@ -21,20 +21,6 @@ def vec(n=8, lo=-1e6, hi=1e6):
 
 
 class TestValidation:
-    def test_check_field_passes_through(self):
-        a = np.array([1.0, -2.0, 0.0])
-        np.testing.assert_array_equal(check_field(a), a)
-
-    def test_check_field_rejects_2d(self):
-        with pytest.raises(ValueError, match="1-d"):
-            check_field(np.zeros((2, 2)))
-
-    def test_check_field_rejects_nan_and_inf(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            check_field(np.array([1.0, np.nan]))
-        with pytest.raises(ValueError, match="non-finite"):
-            check_field(np.array([np.inf, 0.0]))
-
     def test_check_weights_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             check_weights(np.array([1.0, 0.0]))

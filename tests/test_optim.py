@@ -85,18 +85,14 @@ class TestBatchSchedule:
         for k in (1, 7, 50, 999):
             assert b.size(k) == max(1, math.ceil(0.5 * k ** 1.1))
 
-    def test_constant_and_custom(self):
+    def test_constant_rule(self):
         assert BatchSchedule(rule="constant", floor=3).size(100) == 3
-        b = BatchSchedule(rule="custom", custom=lambda k: 2 * k)
-        assert b.size(0) == 1 and b.size(5) == 10
 
     def test_validation(self):
         with pytest.raises(ValueError, match="floor"):
             BatchSchedule(floor=0)
         with pytest.raises(ValueError, match="unknown batch rule"):
             BatchSchedule(rule="geometric")
-        with pytest.raises(ValueError, match="callable"):
-            BatchSchedule(rule="custom")
 
 
 class TestAdmmStep:

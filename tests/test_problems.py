@@ -5,13 +5,23 @@ import pytest
 from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import spsolve
 
-from sadmm import fem, problems
+from sadmm import fem, harness, problems
 from sadmm.hilbert import project_box, soft_threshold, wdot, wnorm
 from sadmm.optim import estimate_L
 from sadmm.problems import (EllipticControlProblem, FrozenEvalSet,
-                            QuadraticProblem, empirical_objective,
-                            nonsmooth_value, reference_optimum)
+                            QuadraticProblem, nonsmooth_value,
+                            reference_optimum)
 from test_fem import reference_stiffness
+
+
+def empirical_objective(problem, u, samples):
+    """Reference oracle of the eval set: the average smooth value over a
+    fixed sample list, one sample at a time, plus the L1 term."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError("sample list must be nonempty")
+    mean = sum(problem.smooth_value(u, s) for s in samples) / len(samples)
+    return mean + nonsmooth_value(problem, u)
 
 
 def make_quadratic(dim=10, alpha=0.5, beta=0.2, sigma=0.3, seed=0):
@@ -176,7 +186,7 @@ class TestEllipticProblem:
         n_red, _ = ops.factorized().ordering.shape
         stencil = ops.stencil.copy()
         stencil[1, 0 if colour == "red" else n_red] = -1.0
-        bad = fem.AssembledOperators(mesh=mesh, band=None, mass=ops.mass,
+        bad = fem.AssembledOperators(mesh=mesh, mass=ops.mass,
                                      lumped=ops.lumped, stencil=stencil)
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.solve_state(bad, np.ones(mesh.n_nodes))
@@ -189,6 +199,23 @@ class TestEllipticProblem:
                        elliptic.weights) for _ in range(13)]
         assert estimate_L(elliptic, u, rng1, n_calls=13) == pytest.approx(
             np.mean(norms), rel=1e-14)
+
+    def test_sample_values_do_not_depend_on_stack_size(self, monkeypatch):
+        # the experiment's L-estimate stream at h = 2^-5, seed 11: every
+        # per-sample gradient, and so every norm of one, is the same bit for
+        # bit whether the oracle solves it alone or in a stack
+        cfg = harness.ExperimentConfig(seed=11, l_est_calls=52)
+        l_hats, averages = [], []
+        for chunk in (1, 4, 6, 13):
+            monkeypatch.setattr(problems, "_CHUNK", chunk)
+            prob = harness.build_problem(cfg)
+            l_hats.append(harness._estimate_l_hat(cfg, prob))
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence((cfg.seed, harness._LHAT_TAG))))
+            averages.append(prob.averaged_grad(np.ones(prob.dim), rng, 17))
+        assert l_hats == [l_hats[0]] * 4
+        for average in averages[1:]:
+            np.testing.assert_array_equal(average, averages[0])
 
     def test_samples_stay_in_cube(self, elliptic):
         rng = np.random.default_rng(9)
