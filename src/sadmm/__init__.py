@@ -2,8 +2,8 @@
 with sparse optimal control of a random-coefficient elliptic PDE."""
 
 from .hilbert import project_box, soft_threshold, wdot, weighted_l1, wnorm
-from .fem import (AssembledOperators, StructuredMesh, assemble, build_mesh,
-                  checkerboard_target, coefficient, interpolate, l2_error,
+from .fem import (StructuredMesh, assemble, build_mesh, checkerboard_target,
+                  coefficient, factor, interpolate, l2_error, lumped_weights,
                   solve_adjoint, solve_state)
 from .problems import (EllipticControlProblem, FrozenEvalSet,
                        QuadraticProblem, nonsmooth_value, reference_optimum)

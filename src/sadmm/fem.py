@@ -20,7 +20,7 @@ gradient is the exact gradient of the discrete tracking functional.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,20 +68,11 @@ def build_mesh(h: float) -> StructuredMesh:
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def idx(ix, iy):
-        return iy * (n + 1) + ix
-
-    tris = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = idx(ix, iy)
-            v10 = idx(ix + 1, iy)
-            v01 = idx(ix, iy + 1)
-            v11 = idx(ix + 1, iy + 1)
-            # both triangles share the same (lower-left to upper-right) diagonal
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    triangles = np.asarray(tris, dtype=np.int64)
+    # the lower-left node of each cell, cells row by row; both triangles of a
+    # cell share its lower-left to upper-right diagonal
+    v00 = (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
 
     boundary = (
         (nodes[:, 0] == 0.0)
@@ -132,37 +123,23 @@ class RedBlackOrdering:
     keep their lexicographic order, in which the black Schur complement is
     banded. The direct solve reads the stiffness only at its stencil: the
     red pivots, the black pivots and the red-black couplings, the latter in
-    the CSR layout of the (n_red, n_black) block; stencil_positions locates
-    them in band storage.
+    the CSR layout of the (n_red, n_black) block.
     """
 
-    def __init__(self, red: np.ndarray, couplings: np.ndarray,
-                 band_shape: tuple[int, int]):
-        """red: colour of each interior node; couplings: flat indices into
-        band storage of the off-diagonal entries that can be nonzero."""
-        bw, n = band_shape[0] - 1, band_shape[1]
+    def __init__(self, red: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        """red: colour of each interior node; rows, cols: the red and the
+        black number (the place within its colour) of each coupled pair,
+        sorted by row, then column."""
         self.red = np.nonzero(red)[0]
         self.black = np.nonzero(~red)[0]
         n_red, n_black = self.red.size, self.black.size
-        number = np.empty(n, dtype=np.int64)
-        number[self.red] = np.arange(n_red)
-        number[self.black] = np.arange(n_black)
 
         # the red-black block in CSR layout: rows red, columns black
-        col = couplings % n
-        row = col - (bw - couplings // n)
-        red_row = red[row]
-        r = number[np.where(red_row, row, col)]
-        b = number[np.where(red_row, col, row)]
-        order = np.lexsort((b, r))
-        self._coupling_row = r[order]
-        cols = b[order]
+        self._coupling_row = rows
         self._indices = cols.astype(np.int32)
         self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(r, minlength=n_red))]).astype(np.int32)
+            [[0], np.cumsum(np.bincount(rows, minlength=n_red))]).astype(np.int32)
         self.shape = (n_red, n_black)
-        self.stencil_positions = np.concatenate(
-            [bw * n + self.red, bw * n + self.black, couplings[order]])
         # block-diagonal coupling patterns by stack size (see _coupling)
         self._patterns = {}
 
@@ -170,7 +147,7 @@ class RedBlackOrdering:
         # black pivots and, for each red node, the product of its couplings
         # to two black neighbours b <= b'.
         # slot[i, a]: position of red node i's a-th coupling, or -1
-        nnz = order.size
+        nnz = rows.size
         slot = np.full((n_red, int(np.diff(self._indptr).max(initial=0))), -1)
         slot[self._coupling_row,
              np.arange(nnz) - self._indptr[self._coupling_row]] = np.arange(nnz)
@@ -238,7 +215,7 @@ class RedBlackFactor:
     as views.
     """
 
-    ordering: RedBlackOrdering
+    mesh: StructuredMesh
     red_diag: np.ndarray  # D_r, (n_red,)
     scaled: np.ndarray  # D_r^-1 E^T in the ordering's CSR layout, (nnz,)
     schur: np.ndarray  # dpbtrf factor of S in upper band storage, F-ordered
@@ -250,15 +227,19 @@ class RedBlackFactor:
         (n_red, n_black), (rows, _) = rb.shape, rb.schur_shape
         # each sample's band is a C-ordered (n_black, rows) block, read
         # transposed as the F-ordered (rows, n_black) array LAPACK takes
-        return cls(ordering=rb, red_diag=np.empty((m, n_red)),
+        return cls(mesh=mesh, red_diag=np.empty((m, n_red)),
                    scaled=np.empty((m, rb._indices.size)),
                    schur=np.empty((m, n_black, rows)).transpose(0, 2, 1))
+
+    @property
+    def ordering(self) -> RedBlackOrdering:
+        return _geometry(self.mesh).red_black
 
     def __len__(self) -> int:
         return self.red_diag.shape[0]
 
     def __getitem__(self, i) -> "RedBlackFactor":
-        return RedBlackFactor(self.ordering, self.red_diag[i], self.scaled[i],
+        return RedBlackFactor(self.mesh, self.red_diag[i], self.scaled[i],
                               self.schur[i])
 
     def __iter__(self):
@@ -273,7 +254,7 @@ class RedBlackFactor:
         sample, (m, n_red) and (m, n_black), and solves its eliminations as
         one block-diagonal product."""
         eliminate, eliminate_t = self.ordering._coupling(self.scaled)
-        empty = not self.ordering.shape[1]  # LAPACK rejects an empty system
+        empty = not self.schur.shape[-1]  # LAPACK rejects an empty system
         if self.schur.ndim == 3:
             t = f_black - (eliminate_t @ f_red.reshape(-1)).reshape(f_black.shape)
             for i in range(0 if empty else len(self)):
@@ -373,35 +354,6 @@ def band_solve(factor: RedBlackFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(eq=False)
-class AssembledOperators:
-    """Stiffness, mass and lumped weights of one coefficient sample, or of a
-    stack of samples.
-
-    The direct solve reads the interior stiffness only at its stencil (see
-    RedBlackOrdering), held in `stencil` as (n_stencil,) for one sample or
-    (m, n_stencil) for a stack.
-    """
-
-    mesh: StructuredMesh
-    mass: sp.csr_matrix  # full consistent mass
-    lumped: np.ndarray  # row sums of mass, all nodes
-    stencil: np.ndarray
-    _factor: RedBlackFactor | None = field(default=None, repr=False)
-
-    @property
-    def stack_shape(self) -> tuple:
-        """() for one sample, (m,) for a stack of m."""
-        return self.stencil.shape[:-1]
-
-    def factorized(self, out: RedBlackFactor | None = None) -> RedBlackFactor:
-        """Cached red-black factor of the interior stiffness; the first call
-        on a stack may pass storage for it (see red_black_cholesky)."""
-        if self._factor is None:
-            self._factor = red_black_cholesky(self.stencil, self.mesh, out=out)
-        return self._factor
-
-
 class _MeshGeometry:
     """Sample-independent assembly data, computed once per mesh."""
 
@@ -435,50 +387,55 @@ class _MeshGeometry:
         cols = np.tile(tri, (1, 3)).ravel()
         n = mesh.n_nodes
 
-        # consistent mass area/12 * (1 + delta_ij); sample-independent
+        # the lumped weights are the row sums of the consistent mass
+        # area/12 * (1 + delta_ij), which does not depend on the sample
         m_base = (np.ones((3, 3)) + np.eye(3)) / 12.0
         m_loc = area[:, None, None] * m_base[None, :, :]
-        self.mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        self.lumped = check_weights(np.asarray(self.mass.sum(axis=1)).ravel(),
+        mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+        self.lumped = check_weights(np.asarray(mass.sum(axis=1)).ravel(),
                                     domain_area=1.0)
 
-        # entries of the eliminated (interior-only) stiffness are located by
-        # their place in LAPACK upper band storage: entry (r, c), r <= c, at
-        # band[bw + r - c, c]. The half-bandwidth bw is the widest coupling
-        # in the interior numbering.
+        # the entries of the eliminated (interior-only) stiffness, one per
+        # triangle and pair of its interior vertices
         int_number = np.full(n, -1, dtype=np.int64)
         int_number[mesh.interior] = np.arange(mesh.interior.size)
         r = int_number[rows]
         c = int_number[cols]
-        sel = np.nonzero((r >= 0) & (c >= 0) & (r <= c))[0]
+        sel = np.nonzero((r >= 0) & (c >= 0))[0]
         r, c = r[sel], c[sel]
-        n_int = mesh.interior.size
-        bw = int((c - r).max(initial=0))
-        band_index = (bw + r - c) * n_int + c
-        band_k_geo = k_geo.ravel()[sel]
+        entry_k_geo = k_geo.ravel()[sel]
 
         # red-black colouring of the interior grid: the direct solve needs
         # every nonzero coupling to join a red and a black node
         ij = np.rint(mesh.nodes[mesh.interior] / mesh.h).astype(np.int64)
         red = ij.sum(axis=1) % 2 == 0
-        coupled = (r != c) & (band_k_geo != 0.0)
-        if np.any(red[r[coupled]] == red[c[coupled]]):
+        if np.any((red[r] == red[c]) & (r != c) & (entry_k_geo != 0.0)):
             raise ValueError("the stiffness couples two nodes of one colour, "
                              "so red-black elimination does not apply")
-        self.red_black = RedBlackOrdering(
-            red, np.unique(band_index[coupled]), (bw + 1, n_int))
+        n_red = int(np.count_nonzero(red))
+        n_black = red.size - n_red
+        number = np.empty(red.size, dtype=np.int64)
+        number[red] = np.arange(n_red)
+        number[~red] = np.arange(n_black)
 
         # stencil value j sums k_geo * a(centroid) over the triangles that
-        # share the entry, in ascending triangle order; entries off the
-        # stencil (the cells' diagonals) have k_geo == 0.0 and are dropped
-        stencil_number = np.full(bw * n_int + n_int, -1)
-        positions = self.red_black.stencil_positions
-        stencil_number[positions] = np.arange(positions.size)
-        j = stencil_number[band_index]
-        on = j >= 0
+        # share the entry, in ascending triangle order: the pivots, red then
+        # black, then the couplings keyed by (red number, black number), each
+        # from its red-to-black entry. Same-colour pairs (the cells'
+        # diagonals, k_geo == 0.0) are dropped before a key is formed: their
+        # key could equal a coupling's.
+        pivot = r == c
+        coupling = red[r] & ~red[c]
+        keys, j_coupling = np.unique(
+            number[r[coupling]] * n_black + number[c[coupling]],
+            return_inverse=True)
+        j = np.where(red[r], number[r], n_red + number[r])
+        j[coupling] = n_red + n_black + j_coupling
+        on = pivot | coupling
+        self.red_black = RedBlackOrdering(red, *np.divmod(keys, n_black))
         self.stencil_matrix = sp.csr_array(
-            (band_k_geo[on], (j[on], sel[on] // 9)),
-            shape=(positions.size, tri.shape[0]))
+            (entry_k_geo[on], (j[on], sel[on] // 9)),
+            shape=(n_red + n_black + keys.size, tri.shape[0]))
         self.stencil_matrix.sort_indices()
 
 
@@ -494,10 +451,16 @@ def _geometry(mesh: StructuredMesh) -> _MeshGeometry:
     return geo
 
 
-def assemble(mesh: StructuredMesh, xi: np.ndarray) -> AssembledOperators:
-    """Stiffness (coefficient at centroids, Dirichlet rows/cols eliminated),
-    consistent mass and lumped weights, for one sample xi (4,) or a stack
-    (m, 4). The stiffness is given at its stencil."""
+def lumped_weights(mesh: StructuredMesh) -> np.ndarray:
+    """The lumped-mass weights W of all mesh nodes, the row sums of the
+    consistent mass; they do not depend on the coefficient sample."""
+    return _geometry(mesh).lumped
+
+
+def assemble(mesh: StructuredMesh, xi: np.ndarray) -> np.ndarray:
+    """The interior stiffness (coefficient at centroids, Dirichlet rows and
+    columns eliminated) at its stencil (see RedBlackOrdering), (n_stencil,)
+    for one sample xi (4,) or (m, n_stencil) for a stack (m, 4)."""
     geo = _geometry(mesh)
     xi = check_sample(xi)
     # the coefficient fields at the centroids, one per sample, from modes
@@ -507,29 +470,35 @@ def assemble(mesh: StructuredMesh, xi: np.ndarray) -> AssembledOperators:
     fields = np.matmul(geo.centroid_modes, np.atleast_2d(xi)[:, :, None])
     np.exp(fields, out=fields)
     stencil = (geo.stencil_matrix @ fields[:, :, 0].T).T
-    return AssembledOperators(mesh=mesh, mass=geo.mass, lumped=geo.lumped,
-                              stencil=stencil[0] if xi.ndim == 1 else stencil)
+    return stencil[0] if xi.ndim == 1 else stencil
 
 
-def solve_state(ops: AssembledOperators, u: np.ndarray) -> np.ndarray:
-    """Solve the discrete state equation K y = W u with zero boundary values.
+def factor(mesh: StructuredMesh, xi: np.ndarray,
+           out: RedBlackFactor | None = None) -> RedBlackFactor:
+    """Assemble and factor the interior stiffness of one sample xi (4,) or of
+    a stack (m, 4), into out when given (see red_black_cholesky)."""
+    return red_black_cholesky(assemble(mesh, xi), mesh, out)
+
+
+def solve_state(factor: RedBlackFactor, u: np.ndarray) -> np.ndarray:
+    """Solve the discrete state equation K y = W u with zero boundary values,
+    given the factor of K.
 
     The load uses the lumped weights W so that the adjoint gradient below is
-    exact for the discrete objective. The solve is direct: a red-black banded
-    Cholesky factorization, cached on ops. Operators of a stack of m samples
-    give one state per sample with the same control, shape (m, n_nodes).
+    exact for the discrete objective. The factor of a stack of m samples
+    gives one state per sample with the same control, shape (m, n_nodes).
     """
     u = np.asarray(u, dtype=float)
-    mesh = ops.mesh
-    rhs = (ops.lumped * u)[mesh.interior]
-    lead = ops.stack_shape
+    mesh = factor.mesh
+    rhs = (lumped_weights(mesh) * u)[mesh.interior]
+    lead = factor.red_diag.shape[:-1]  # () for one sample, (m,) for a stack
     y = np.zeros(lead + (mesh.n_nodes,))
-    y[..., mesh.interior] = band_solve(ops.factorized(),
+    y[..., mesh.interior] = band_solve(factor,
                                        np.broadcast_to(rhs, lead + rhs.shape))
     return y
 
 
-def solve_adjoint(ops: AssembledOperators, y: np.ndarray,
+def solve_adjoint(factor: RedBlackFactor, y: np.ndarray,
                   y_d: np.ndarray) -> np.ndarray:
     """Solve the adjoint equation K p = W (y - y_d) with zero boundary values
     (as in solve_state; for a stack, y holds one state per sample)."""
@@ -537,10 +506,10 @@ def solve_adjoint(ops: AssembledOperators, y: np.ndarray,
     y_d = np.asarray(y_d, dtype=float)
     if y.shape[-1:] != y_d.shape:
         raise ValueError("state and target live on different meshes")
-    mesh = ops.mesh
-    rhs = (ops.lumped * (y - y_d))[..., mesh.interior]
+    mesh = factor.mesh
+    rhs = (lumped_weights(mesh) * (y - y_d))[..., mesh.interior]
     p = np.zeros(y.shape)
-    p[..., mesh.interior] = band_solve(ops.factorized(), rhs)
+    p[..., mesh.interior] = band_solve(factor, rhs)
     return p
 
 

@@ -77,6 +77,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        if len(set(self.methods)) != len(self.methods):
+            # a repeated method would run again on the same run seeds
+            raise ConfigError(f"methods repeat a method: {list(self.methods)}")
         if self.regime == "strongly_convex" and self.alpha <= 0.0:
             raise ConfigError("strongly_convex regime requires alpha > 0")
         # values the solver layers would reject once the experiment runs
@@ -464,9 +467,9 @@ def fem_verify(h_list=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
     errors = []
     for h in h_list:
         mesh = fem.build_mesh(h)
-        ops = fem.assemble(mesh, np.zeros(4))
-        y = fem.solve_state(ops, fem.interpolate(mesh, forcing))
-        errors.append(fem.l2_error(y, exact, mesh, ops.lumped))
+        y = fem.solve_state(fem.factor(mesh, np.zeros(4)),
+                            fem.interpolate(mesh, forcing))
+        errors.append(fem.l2_error(y, exact, mesh, fem.lumped_weights(mesh)))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     ok = all(order_range[0] <= o <= order_range[1] for o in orders)
     return CheckReport(name="fem_verify", passed=ok,

@@ -166,7 +166,8 @@ class AdmmSolver:
                          sfo_calls=state.sfo_calls + m_k)
 
     def views(self, state: AdmmState):
-        """(smooth iterate, thresholded iterate, feasibility residual source)."""
+        """(smooth iterate u, thresholded iterate z); their difference is the
+        feasibility residual."""
         return state.u, state.z
 
 

@@ -50,8 +50,7 @@ class EllipticControlProblem:
         self.beta = beta
         self.u_min = u_min
         self.u_max = u_max
-        # mass and lumped weights do not depend on the coefficient sample
-        self.state_weights = fem.assemble(mesh, np.zeros(4)).lumped
+        self.state_weights = fem.lumped_weights(mesh)
         self.weights = self.state_weights[mesh.interior]
         self.y_d = fem.checkerboard_target(mesh) if y_d is None else np.asarray(y_d, float)
         if self.y_d.shape != (mesh.n_nodes,):
@@ -78,14 +77,6 @@ class EllipticControlProblem:
         draw_sample calls."""
         return rng.uniform(-1.0, 1.0, size=(m, 4))
 
-    def operators(self, xi: np.ndarray) -> fem.AssembledOperators:
-        return fem.assemble(self.mesh, xi)
-
-    def state(self, u: np.ndarray, xi: np.ndarray,
-              ops: fem.AssembledOperators | None = None) -> np.ndarray:
-        ops = ops or self.operators(xi)
-        return fem.solve_state(ops, self._full(u))
-
     def grad(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Per-sample gradient alpha*u + p via the adjoint solve, for one
         sample xi (4,), or (m, dim), one row per sample, for a stack (m, 4).
@@ -97,10 +88,11 @@ class EllipticControlProblem:
         (wnorm in estimate_L) does not depend on the stack it came from.
         """
         xis = np.asarray(xi, dtype=float)
-        ops = self.operators(np.atleast_2d(xis))
-        ops.factorized(out=self._factor_storage(ops.stack_shape[0]))
-        y = fem.solve_state(ops, self._full(u))
-        p = fem.solve_adjoint(ops, y, self.y_d)
+        stack = np.atleast_2d(xis)
+        factor = fem.factor(self.mesh, stack,
+                            out=self._factor_storage(len(stack)))
+        y = fem.solve_state(factor, self._full(u))
+        p = fem.solve_adjoint(factor, y, self.y_d)
         # np.take, unlike p[:, interior], gives a C-ordered block
         g = self.alpha * u + np.take(p, self.mesh.interior, axis=1)
         return g.reshape(xis.shape[:-1] + g.shape[-1:])
@@ -121,8 +113,7 @@ class EllipticControlProblem:
             yield from self.grad(u, self.draw_samples(rng, min(_CHUNK, n - start)))
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
-        ops = self.operators(xi)
-        y = fem.solve_state(ops, self._full(u))
+        y = fem.solve_state(fem.factor(self.mesh, xi), self._full(u))
         return (0.5 * wnorm(y - self.y_d, self.state_weights) ** 2
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
@@ -198,25 +189,29 @@ class FrozenEvalSet:
     banded Cholesky factor of each black Schur complement), and only the
     factors are kept, as one stack. Scoring a stack of iterates splits the
     loads, the target and the weights by colour once, then costs one
-    multi-right-hand-side solve per sample.
+    multi-right-hand-side solve per sample. The quadratic problem's smooth
+    value does not depend on the sample, so it draws no samples and scores
+    each iterate once.
     """
 
     def __init__(self, problem, n_samples: int, seed):
         if n_samples < 1:
             raise ValueError("eval_samples must be >= 1")
         self.problem = problem
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self.samples = [problem.draw_sample(rng) for _ in range(n_samples)]
+        self.samples = []
         # No per-sample operators are kept; perfbench/child.py reads _ops.
         self._ops = None
         self._factors = None
         if isinstance(problem, EllipticControlProblem):
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(seed)))
+            self.samples = [problem.draw_sample(rng) for _ in range(n_samples)]
             mesh = problem.mesh
             xis = np.array(self.samples)
             self._factors = fem.RedBlackFactor.empty(mesh, n_samples)
             for start in range(0, n_samples, _CHUNK):
                 chunk = slice(start, start + _CHUNK)
-                problem.operators(xis[chunk]).factorized(out=self._factors[chunk])
+                fem.factor(mesh, xis[chunk], out=self._factors[chunk])
             rb = self._factors.ordering
             y_d = problem.y_d[mesh.interior]
             # (nodes, target, weights) of the red and of the black nodes
@@ -257,8 +252,7 @@ class FrozenEvalSet:
                 smooth += 0.5 * (sq + self._boundary_sq) + alpha_terms
             smooth /= len(self._factors)
         else:
-            smooth = np.array([sum(prob.smooth_value(x, s) for s in self.samples)
-                               / len(self.samples) for x in us])
+            smooth = np.array([prob.smooth_value(x) for x in us])
         values = smooth + prob.beta * weighted_l1_rows(zs, w)
         return float(values[0]) if np.ndim(u) == 1 else values
 

@@ -29,22 +29,22 @@ def eval_set_optimum(eval_set) -> ReferenceOptimum:
     Deterministic accelerated proximal gradient (prox = clamp o soft-threshold)
     with gradient restart on the sample-average smooth part, run to a
     prox-gradient residual <= 1e-12 as in `reference_optimum`. Each eval
-    sample's operators are assembled and Cholesky-factored once; L comes from
+    sample's stiffness is assembled and factored once; L comes from
     power iteration on the (linear) gradient with zero target.
     """
     prob = eval_set.problem
     interior = prob.mesh.interior
     w = prob.weights
-    ops_list = [prob.operators(xi) for xi in eval_set.samples]
+    factors = [fem.factor(prob.mesh, xi) for xi in eval_set.samples]
 
     def smooth_grad(u, y_d):
         u_full = np.zeros(prob.mesh.n_nodes)
         u_full[interior] = u
         acc = np.zeros(prob.dim)
-        for ops in ops_list:
-            y = fem.solve_state(ops, u_full)
-            acc += fem.solve_adjoint(ops, y, y_d)[interior]
-        return prob.alpha * u + acc / len(ops_list)
+        for factor in factors:
+            y = fem.solve_state(factor, u_full)
+            acc += fem.solve_adjoint(factor, y, y_d)[interior]
+        return prob.alpha * u + acc / len(factors)
 
     no_target = np.zeros(prob.mesh.n_nodes)
     v = np.ones(prob.dim) / wnorm(np.ones(prob.dim), w)

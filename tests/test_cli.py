@@ -18,8 +18,9 @@ def write_cfg(tmp_path, **overrides):
     return path
 
 
-# config values that a solver layer would reject once the run started, or
-# that make a method meaningless, by the field the error message must name
+# config values that a solver layer would reject once the run started, that
+# make a method meaningless, or that repeat a method (its runs would repeat on
+# the same run seeds), by the field the error message must name
 REJECTED_BELOW_CONFIG = {
     "l_est_calls": {"l_est_calls": 0},
     "mu": {"mu": 1.5},
@@ -33,6 +34,7 @@ REJECTED_BELOW_CONFIG = {
     "ssg_c": {"ssg_c": 0},
     "ada_gamma": {"ada_gamma": 0},
     "ada_eps": {"ada_eps": -1},
+    "methods": {"methods": ["admm", "admm"]},
 }
 
 

@@ -10,13 +10,18 @@ from sadmm import fem
 from sadmm.hilbert import wdot
 
 
+def triangle_areas(mesh):
+    p = mesh.nodes[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 def reference_stiffness(mesh, xi):
     """Interior stiffness by COO -> CSR assembly of the P1 element matrices
     a(centroid) * (e_i . e_j) / (4 area), e_i the edge opposite vertex i."""
     p = mesh.nodes[mesh.triangles]
     e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
-    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    area = triangle_areas(mesh)
     a = fem.coefficient(p.mean(axis=1), xi)
     local = np.einsum("tid,tjd->tij", e, e) * (a / (4.0 * area))[:, None, None]
     number = np.full(mesh.n_nodes, -1)
@@ -27,6 +32,17 @@ def reference_stiffness(mesh, xi):
     n = mesh.interior.size
     return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
                          shape=(n, n)).tocsr()
+
+
+def reference_mass(mesh):
+    """Consistent mass of all nodes by COO -> CSR assembly of the P1 element
+    matrices area/12 * (1 + delta_ij)."""
+    local = triangle_areas(mesh)[:, None, None] \
+        * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_nodes
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def check_spd_structure(A, rtol=1e-12):
@@ -40,15 +56,18 @@ def check_spd_structure(A, rtol=1e-12):
         raise ValueError("matrix diagonal has non-positive entries")
 
 
-def stencil_band(mesh, stencil):
-    """One sample's interior stiffness in LAPACK upper band storage, placed
-    from its stencil values at the positions the red-black ordering gives;
-    the pivots fill the last row, so it fixes the bandwidth."""
-    positions = fem._geometry(mesh).red_black.stencil_positions
-    n = mesh.interior.size
-    band = np.zeros((positions.max() // n + 1, n))
-    band.reshape(-1)[positions] = stencil
-    return band
+def stencil_dense(mesh, stencil):
+    """One sample's dense interior stiffness from its stencil values: the
+    red and black pivots, then the red-black couplings in the ordering's
+    CSR layout, each placed at its two mirror positions."""
+    rb = fem._geometry(mesh).red_black
+    n_pivots = sum(rb.shape)
+    red, black = rb.red[rb._coupling_row], rb.black[rb._indices]
+    A = np.zeros((mesh.interior.size,) * 2)
+    pivots = np.concatenate([rb.red, rb.black])
+    A[pivots, pivots] = stencil[:n_pivots]
+    A[red, black] = A[black, red] = stencil[n_pivots:]
+    return A
 
 
 def pivot(mesh, node):
@@ -58,28 +77,14 @@ def pivot(mesh, node):
     return int(np.nonzero(np.concatenate([rb.red, rb.black]) == node)[0][0])
 
 
-def band_to_dense(band):
-    """Symmetric dense matrix from LAPACK upper band storage; the unused
-    corner of the storage must be zero."""
-    bw, n = band.shape[0] - 1, band.shape[1]
-    A = np.zeros((n, n))
-    for k in range(bw + 1):
-        d = bw - k
-        assert np.all(band[k, :d] == 0.0)
-        j = np.arange(d, n)
-        A[j - d, j] = band[k, d:]
-        A[j, j - d] = band[k, d:]
-    return A
-
-
 @pytest.fixture(scope="module")
 def mesh4():
     return fem.build_mesh(0.25)
 
 
 @pytest.fixture(scope="module")
-def ops4(mesh4):
-    return fem.assemble(mesh4, np.zeros(4))
+def factor4(mesh4):
+    return fem.factor(mesh4, np.zeros(4))
 
 
 class TestMesh:
@@ -102,6 +107,13 @@ class TestMesh:
         areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
         assert np.all(areas > 0.0)
         assert areas.sum() == pytest.approx(1.0, rel=1e-14)
+
+    def test_triangles_at_h_one_half(self):
+        # nodes numbered row by row from (0, 0); every cell is split along
+        # its lower-left to upper-right diagonal
+        np.testing.assert_array_equal(fem.build_mesh(0.5).triangles, [
+            [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+            [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]])
 
     @pytest.mark.parametrize("h", [0.3, -0.25, 2.0])
     def test_rejects_bad_h(self, h):
@@ -139,21 +151,21 @@ class TestCoefficient:
 
 
 class TestAssembly:
-    def test_unit_coefficient_stiffness_is_five_point_stencil(self, mesh4, ops4):
+    def test_unit_coefficient_stiffness_is_five_point_stencil(self, mesh4):
         # with a == 1 on this diagonal-split mesh, the P1 stiffness reduces
         # exactly to the 5-point Laplacian stencil on interior nodes
         n = 3  # interior grid per side
         T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1])
         expected = (sp.kron(sp.eye(n), T) + sp.kron(T, sp.eye(n))).toarray()
-        stiffness = band_to_dense(stencil_band(mesh4, ops4.stencil))
+        stiffness = stencil_dense(mesh4, fem.assemble(mesh4, np.zeros(4)))
         np.testing.assert_allclose(stiffness, expected, atol=1e-13)
 
     def test_stiffness_spd(self, mesh4):
         rng = np.random.default_rng(2)
         for _ in range(3):
-            ops = fem.assemble(mesh4, rng.uniform(-1, 1, size=4))
-            stiffness = band_to_dense(stencil_band(mesh4, ops.stencil))
+            stiffness = stencil_dense(
+                mesh4, fem.assemble(mesh4, rng.uniform(-1, 1, size=4)))
             check_spd_structure(stiffness)
             assert np.linalg.eigvalsh(stiffness).min() > 0.0
 
@@ -161,52 +173,53 @@ class TestAssembly:
     def test_band_matches_coo_assembly(self, level):
         mesh = fem.build_mesh(2.0 ** -level)
         rng = np.random.default_rng(level)
-        side = 2 ** level - 1  # interior nodes per grid line
         for _ in range(2):
             xi = rng.uniform(-1, 1, size=4)
-            band = stencil_band(mesh, fem.assemble(mesh, xi).stencil)
-            # lexicographic numbering: the widest coupling is the diagonal
-            # neighbour one grid line up
-            assert band.shape == (side + 2, side * side)
             expected = reference_stiffness(mesh, xi).toarray()
-            np.testing.assert_allclose(band_to_dense(band), expected,
-                                       rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(
+                stencil_dense(mesh, fem.assemble(mesh, xi)), expected,
+                rtol=1e-14, atol=0.0)
 
-    def test_mass_symmetric_and_lumped_sums_to_area(self, ops4):
-        M = ops4.mass
+    def test_mass_symmetric_and_lumped_sums_to_area(self, mesh4):
+        M = reference_mass(mesh4)
         assert abs(M - M.T).max() == 0.0
-        np.testing.assert_allclose(ops4.lumped,
-                                   np.asarray(M.sum(axis=1)).ravel())
-        assert ops4.lumped.sum() == pytest.approx(1.0, rel=1e-14)
+        lumped = fem.lumped_weights(mesh4)
+        np.testing.assert_array_equal(lumped, np.asarray(M.sum(axis=1)).ravel())
+        assert lumped.sum() == pytest.approx(1.0, rel=1e-14)
 
-    def test_interior_lumped_weight_is_h_squared(self, mesh4, ops4):
+    def test_interior_lumped_weight_is_h_squared(self, mesh4):
         h = mesh4.h
-        np.testing.assert_allclose(ops4.lumped[mesh4.interior],
+        np.testing.assert_allclose(fem.lumped_weights(mesh4)[mesh4.interior],
                                    np.full(9, h * h), rtol=1e-14)
 
-    def test_mass_independent_of_sample(self, mesh4, ops4):
-        other = fem.assemble(mesh4, np.array([0.9, -0.9, 0.5, -0.5]))
-        assert abs(other.mass - ops4.mass).max() == 0.0
-        np.testing.assert_array_equal(other.lumped, ops4.lumped)
+    def test_mass_independent_of_sample(self, mesh4):
+        # the weights are the mesh's, left as they were by every factor and
+        # solve of any sample
+        before = fem.lumped_weights(mesh4).copy()
+        for xi in (np.zeros(4), np.array([0.9, -0.9, 0.5, -0.5])):
+            factor = fem.factor(mesh4, xi)
+            fem.solve_adjoint(factor, fem.solve_state(factor, np.ones(25)),
+                              np.zeros(25))
+        np.testing.assert_array_equal(fem.lumped_weights(mesh4), before)
 
 
 class TestSolves:
-    def test_state_zero_load(self, ops4):
-        y = fem.solve_state(ops4, np.zeros(25))
+    def test_state_zero_load(self, factor4):
+        y = fem.solve_state(factor4, np.zeros(25))
         np.testing.assert_array_equal(y, np.zeros(25))
 
     def test_state_boundary_values_zero(self, mesh4):
         rng = np.random.default_rng(3)
-        ops = fem.assemble(mesh4, rng.uniform(-1, 1, size=4))
-        y = fem.solve_state(ops, rng.standard_normal(25))
+        factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
+        y = fem.solve_state(factor, rng.standard_normal(25))
         assert np.all(y[mesh4.boundary_mask] == 0.0)
 
     def test_maximum_principle(self, mesh4):
         # nonnegative load with an M-matrix stiffness gives nonnegative state
         rng = np.random.default_rng(4)
         for _ in range(3):
-            ops = fem.assemble(mesh4, rng.uniform(-1, 1, size=4))
-            y = fem.solve_state(ops, rng.uniform(0.0, 2.0, size=25))
+            factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
+            y = fem.solve_state(factor, rng.uniform(0.0, 2.0, size=25))
             assert y.min() >= -1e-12
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -215,28 +228,27 @@ class TestSolves:
         mesh = fem.build_mesh(2.0 ** -level)
         rng = np.random.default_rng(10 + level)
         xi = rng.uniform(-1, 1, size=4)
-        ops = fem.assemble(mesh, xi)
+        factor = fem.factor(mesh, xi)
         side = 2 ** level - 1
         # the black Schur complement has half the nodes and half-bandwidth
         # side (the stiffness: side + 1); level 1 keeps one empty band row
-        assert ops.factorized().schur.shape == (min(side + 1, side * side),
-                                                side * side // 2)
+        assert factor.schur.shape == (min(side + 1, side * side),
+                                      side * side // 2)
         u = rng.standard_normal(mesh.n_nodes)
-        expected = spsolve(reference_stiffness(mesh, xi).tocsc(),
-                           (ops.lumped * u)[mesh.interior])
-        y = fem.solve_state(ops, u)[mesh.interior]
+        loads = (fem.lumped_weights(mesh) * u)[mesh.interior]
+        expected = spsolve(reference_stiffness(mesh, xi).tocsc(), loads)
+        y = fem.solve_state(factor, u)[mesh.interior]
         assert (np.linalg.norm(y - expected)
                 <= 1e-12 * np.linalg.norm(expected))
         # a stack of right-hand sides solves column by column alike; at
         # level 1 it must not reach dpbtrs, which rejects an empty system
-        loads = (ops.lumped * u)[mesh.interior]
-        stacked = fem.band_solve(ops.factorized(), np.column_stack([loads, loads]))
+        stacked = fem.band_solve(factor, np.column_stack([loads, loads]))
         np.testing.assert_array_equal(stacked, np.column_stack([y, y]))
 
     def test_multi_rhs_band_solve_matches_column_solves(self):
         mesh = fem.build_mesh(2.0 ** -5)
         rng = np.random.default_rng(15)
-        factor = fem.assemble(mesh, rng.uniform(-1, 1, size=4)).factorized()
+        factor = fem.factor(mesh, rng.uniform(-1, 1, size=4))
         rhs = rng.standard_normal((mesh.interior.size, 7))
         x = fem.band_solve(factor, rhs)
         assert x.shape == rhs.shape
@@ -244,23 +256,19 @@ class TestSolves:
             np.testing.assert_array_equal(x[:, j],
                                           fem.band_solve(factor, rhs[:, j]))
 
-    def test_indefinite_band_raises(self, mesh4, ops4):
-        stencil = ops4.stencil.copy()
+    def test_indefinite_band_raises(self, mesh4):
+        stencil = fem.assemble(mesh4, np.zeros(4))
         stencil[pivot(mesh4, 4)] = -1.0  # a negative diagonal entry
-        bad = fem.AssembledOperators(mesh=mesh4, mass=ops4.mass,
-                                     lumped=ops4.lumped, stencil=stencil)
         with pytest.raises(LinAlgError, match="not positive definite"):
-            fem.solve_state(bad, np.ones(25))
+            fem.red_black_cholesky(stencil, mesh4)
 
-    def test_indefinite_black_pivot_raises(self, mesh4, ops4):
+    def test_indefinite_black_pivot_raises(self, mesh4):
         # node 1 is black: its pivot reaches dpbtrf through the Schur
         # complement, while node 4 above is a red pivot checked before S
-        stencil = ops4.stencil.copy()
+        stencil = fem.assemble(mesh4, np.zeros(4))
         stencil[pivot(mesh4, 1)] = -1.0
-        bad = fem.AssembledOperators(mesh=mesh4, mass=ops4.mass,
-                                     lumped=ops4.lumped, stencil=stencil)
         with pytest.raises(LinAlgError, match="not positive definite"):
-            fem.solve_state(bad, np.ones(25))
+            fem.red_black_cholesky(stencil, mesh4)
 
     def test_mesh_coupling_one_colour_is_rejected(self, mesh4):
         # moving the centre node off the grid takes the right angle from its
@@ -277,18 +285,19 @@ class TestSolves:
     def test_adjoint_identity(self, mesh4):
         # <u, p>_W == <y(u2), y - y_d>_W since p = K^{-1} W (y - y_d)
         rng = np.random.default_rng(6)
-        ops = fem.assemble(mesh4, rng.uniform(-1, 1, size=4))
+        factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
+        w = fem.lumped_weights(mesh4)
         u = rng.standard_normal(25)
-        y = fem.solve_state(ops, rng.standard_normal(25))
+        y = fem.solve_state(factor, rng.standard_normal(25))
         y_d = rng.standard_normal(25)
-        p = fem.solve_adjoint(ops, y, y_d)
-        lhs = wdot(u, p, ops.lumped)
-        rhs = wdot(fem.solve_state(ops, u), y - y_d, ops.lumped)
+        p = fem.solve_adjoint(factor, y, y_d)
+        lhs = wdot(u, p, w)
+        rhs = wdot(fem.solve_state(factor, u), y - y_d, w)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
-    def test_adjoint_shape_mismatch(self, ops4):
+    def test_adjoint_shape_mismatch(self, factor4):
         with pytest.raises(ValueError, match="different meshes"):
-            fem.solve_adjoint(ops4, np.zeros(25), np.zeros(24))
+            fem.solve_adjoint(factor4, np.zeros(25), np.zeros(24))
 
 
 class TestHelpers:
@@ -297,10 +306,10 @@ class TestHelpers:
         np.testing.assert_allclose(
             vals, mesh4.nodes[:, 0] + 2.0 * mesh4.nodes[:, 1])
 
-    def test_l2_error_of_exact_interpolant_is_zero(self, mesh4, ops4):
+    def test_l2_error_of_exact_interpolant_is_zero(self, mesh4):
         fn = lambda x1, x2: np.sin(x1) * x2
         a = fem.interpolate(mesh4, fn)
-        assert fem.l2_error(a, fn, mesh4, ops4.lumped) == 0.0
+        assert fem.l2_error(a, fn, mesh4, fem.lumped_weights(mesh4)) == 0.0
 
     def test_checkerboard_target(self, mesh4):
         t = fem.checkerboard_target(mesh4)
