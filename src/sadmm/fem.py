@@ -9,10 +9,10 @@ nodes split into red and black with no coupling inside a colour. The direct
 solve eliminates the red nodes, whose block is diagonal, and factors the
 Schur complement on the black nodes, a band of half the size and half the
 bandwidth of the stiffness, by banded Cholesky.
-Assembly, factorization and solves work on one coefficient sample or on a
-stack of samples: a stack's coefficient fields, stencil values, red pivots
-and Schur bands are formed by array operations over the whole stack, and
-only LAPACK's dpbtrf and dpbtrs run once per sample.
+Assembly, factorization and solves work on stacks of coefficient samples,
+one sample being a stack of one: a stack's coefficient fields, stencil
+values, red pivots and Schur bands are formed by array operations over the
+whole stack, and only LAPACK's dpbtrf and dpbtrs run once per sample.
 State and adjoint loads use the lumped-mass weights, so the adjoint-based
 gradient is the exact gradient of the discrete tracking functional.
 """
@@ -176,14 +176,14 @@ class RedBlackOrdering:
         self._schur_terms = [by_entry[rank == k] for k in range(counts.max(initial=0))]
 
     def _coupling(self, scaled: np.ndarray) -> tuple[sp.csr_array, sp.csc_array]:
-        """D_r^-1 E^T as CSR and E D_r^-1 (the same arrays read as CSC) for
-        one sample's scaled couplings (nnz,), or block-diagonal over the
-        samples of a stack (m, nnz).
+        """D_r^-1 E^T as CSR and E D_r^-1 (the same arrays read as CSC),
+        block-diagonal over the samples of a stack's scaled couplings
+        (m, nnz).
 
         The pattern of each stack size is built once; its data is the given
         values, set before every product, so no factor builds a scipy array.
         """
-        m = scaled.shape[0] if scaled.ndim == 2 else 1
+        m = scaled.shape[0]
         pattern = self._patterns.get(m)
         if pattern is None:
             (n_red, n_black), nnz = self.shape, self._indices.size
@@ -204,21 +204,21 @@ class RedBlackOrdering:
 @dataclass(eq=False)
 class RedBlackFactor:
     """Direct solver of the interior stiffness K after red-black elimination,
-    for one coefficient sample or a stack of m.
+    for a stack of m coefficient samples.
 
     With the red nodes first, K = [[D_r, E^T], [E, D_b]] and D_r, D_b are
     diagonal. The black unknowns solve S x_b = f_b - E D_r^-1 f_r with the
     Schur complement S = D_b - E D_r^-1 E^T, half the size of K and of half
     its bandwidth, held as its banded Cholesky factor; the red unknowns are
-    then x_r = D_r^-1 f_r - D_r^-1 E^T x_b. A stack holds every array with a
-    leading sample axis; indexing it gives one sample's factor or a sub-stack
+    then x_r = D_r^-1 f_r - D_r^-1 E^T x_b. Every array has a leading sample
+    axis; a slice gives a sub-stack and an integer i the stack of one i:i+1,
     as views.
     """
 
     mesh: StructuredMesh
-    red_diag: np.ndarray  # D_r, (n_red,)
-    scaled: np.ndarray  # D_r^-1 E^T in the ordering's CSR layout, (nnz,)
-    schur: np.ndarray  # dpbtrf factor of S in upper band storage, F-ordered
+    red_diag: np.ndarray  # D_r, (m, n_red)
+    scaled: np.ndarray  # D_r^-1 E^T in the ordering's CSR layout, (m, nnz)
+    schur: np.ndarray  # dpbtrf factors of S, upper band storage, (m, rows, n_black)
 
     @classmethod
     def empty(cls, mesh: StructuredMesh, m: int) -> "RedBlackFactor":
@@ -239,6 +239,9 @@ class RedBlackFactor:
         return self.red_diag.shape[0]
 
     def __getitem__(self, i) -> "RedBlackFactor":
+        if not isinstance(i, slice):
+            i = range(len(self))[i]  # raises IndexError out of range
+            i = slice(i, i + 1)
         return RedBlackFactor(self.mesh, self.red_diag[i], self.scaled[i],
                               self.schur[i])
 
@@ -247,36 +250,27 @@ class RedBlackFactor:
 
     def solve(self, f_red: np.ndarray,
               f_black: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve K x = f given f split by colour, and return x split the same
-        way. One sample's factor takes (n_red,) and (n_black,), or one column
-        per right-hand side; each column is bit-for-bit the one a single
-        right-hand side gives. A stack of m takes one right-hand side per
-        sample, (m, n_red) and (m, n_black), and solves its eliminations as
-        one block-diagonal product."""
+        """Solve K x = f given f split by colour, (m, n_red, k) and
+        (m, n_black, k): k right-hand sides per sample. Returns x split the
+        same way. The eliminations of the whole stack are one block-diagonal
+        product, and each column is bit-for-bit the one a single right-hand
+        side, or a stack of one, gives."""
         eliminate, eliminate_t = self.ordering._coupling(self.scaled)
-        empty = not self.schur.shape[-1]  # LAPACK rejects an empty system
-        if self.schur.ndim == 3:
-            t = f_black - (eliminate_t @ f_red.reshape(-1)).reshape(f_black.shape)
-            for i in range(0 if empty else len(self)):
-                t[i], info = dpbtrs(self.schur[i], t[i], lower=0, overwrite_b=1)
-                _check_info(info, "dpbtrs", i)
-            x_red = f_red / self.red_diag \
-                - (eliminate @ t.reshape(-1)).reshape(f_red.shape)
-            return x_red, t
-        t = f_black - eliminate_t @ f_red
-        x_black = t
-        if not empty:
-            x_black, info = dpbtrs(self.schur, t, lower=0)
-            _check_info(info, "dpbtrs")
-        # the transposes divide every column of f_red by the pivots
-        x_red = (f_red.T / self.red_diag).T - eliminate @ x_black
-        return x_red, x_black
+        k = f_red.shape[-1]
+        t = f_black - (eliminate_t @ f_red.reshape(-1, k)).reshape(f_black.shape)
+        # LAPACK rejects an empty system
+        for i in range(len(self) if self.schur.shape[-1] else 0):
+            t[i], info = dpbtrs(self.schur[i], t[i], lower=0, overwrite_b=1)
+            _check_info(info, "dpbtrs", i)
+        x_red = f_red / self.red_diag[:, :, None] \
+            - (eliminate @ t.reshape(-1, k)).reshape(f_red.shape)
+        return x_red, t
 
 
-def _check_info(info: int, routine: str, sample: int | None = None) -> None:
+def _check_info(info: int, routine: str, sample: int) -> None:
     if info == 0:
         return
-    where = "" if sample is None else f" for sample {sample} of the stack"
+    where = f" for sample {sample} of the stack"
     if routine == "dpbtrf":
         raise LinAlgError(f"banded Cholesky failed (dpbtrf info={info}){where}: "
                           "the matrix is not positive definite")
@@ -285,13 +279,12 @@ def _check_info(info: int, routine: str, sample: int | None = None) -> None:
 
 def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
                        out: RedBlackFactor | None = None) -> RedBlackFactor:
-    """Factor the interior stiffness of mesh given its stencil values (see
-    RedBlackOrdering), (n_stencil,) for one sample or (m, n_stencil) for a
-    stack: eliminate the red nodes and factor each black Schur complement
-    with LAPACK dpbtrf.
+    """Factor the interior stiffness of mesh for a stack of samples given
+    their stencil values (see RedBlackOrdering), (m, n_stencil): eliminate
+    the red nodes and factor each black Schur complement with LAPACK dpbtrf.
 
-    Every step but dpbtrf runs once over the whole stack. A stack's factors
-    go into out when it is given (RedBlackFactor.empty storage of m samples,
+    Every step but dpbtrf runs once over the whole stack. The factors go
+    into out when it is given (RedBlackFactor.empty storage of m samples,
     overwritten), else into new storage. Raises LinAlgError when a matrix is
     not positive definite, that is when a red pivot is not positive or
     dpbtrf rejects a Schur complement, rather than returning a partial
@@ -299,10 +292,10 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     """
     rb = _geometry(mesh).red_black
     stencil = np.asarray(stencil, dtype=float)
+    m, _ = stencil.shape
     # one column per sample, the layout the assembly product gives: every
     # gather below then moves whole rows
-    columns = np.atleast_2d(stencil).T
-    m = columns.shape[1]
+    columns = stencil.T
     (n_red, n_black), n_pivots = rb.shape, sum(rb.shape)
     red_diag = columns[:n_red]
     if not np.all(red_diag > 0.0):
@@ -335,22 +328,19 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     bands[:, rb._schur_entries] = entries.T
     for i in range(m if n_black else 0):
         _, info = dpbtrf(factor.schur[i], lower=0, overwrite_ab=1)
-        _check_info(info, "dpbtrf", i if stencil.ndim == 2 else None)
-    return factor if stencil.ndim == 2 else factor[0]
+        _check_info(info, "dpbtrf", i)
+    return factor
 
 
 def band_solve(factor: RedBlackFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve K x = rhs given red_black_cholesky's factor of K, in the
-    interior numbering. One sample's factor takes rhs (n,) or (n, k); a stack
-    of m takes one right-hand side per sample, (m, n). x has rhs's shape."""
+    """Solve K x = rhs given red_black_cholesky's factor of a stack of m
+    stiffnesses K, in the interior numbering: rhs (m, n, k) holds k
+    right-hand sides per sample, and x has its shape."""
     rb = factor.ordering
     f = np.asarray(rhs, dtype=float)
     x = np.empty(f.shape)
-    if factor.schur.ndim == 3:
-        x[:, rb.red], x[:, rb.black] = factor.solve(
-            np.take(f, rb.red, axis=1), np.take(f, rb.black, axis=1))
-    else:
-        x[rb.red], x[rb.black] = factor.solve(f[rb.red], f[rb.black])
+    x[:, rb.red], x[:, rb.black] = factor.solve(
+        np.take(f, rb.red, axis=1), np.take(f, rb.black, axis=1))
     return x
 
 
@@ -459,24 +449,24 @@ def lumped_weights(mesh: StructuredMesh) -> np.ndarray:
 
 def assemble(mesh: StructuredMesh, xi: np.ndarray) -> np.ndarray:
     """The interior stiffness (coefficient at centroids, Dirichlet rows and
-    columns eliminated) at its stencil (see RedBlackOrdering), (n_stencil,)
-    for one sample xi (4,) or (m, n_stencil) for a stack (m, 4)."""
+    columns eliminated) at its stencil (see RedBlackOrdering), (m, n_stencil)
+    for a stack of samples xi (m, 4); one sample (4,) is a stack of one."""
     geo = _geometry(mesh)
-    xi = check_sample(xi)
+    xi = np.atleast_2d(check_sample(xi))
     # the coefficient fields at the centroids, one per sample, from modes
     # computed once per mesh. One batched matrix-vector product keeps each
     # field independent of the stack it is in, which a matrix-matrix
     # product, rounding differently, would not.
-    fields = np.matmul(geo.centroid_modes, np.atleast_2d(xi)[:, :, None])
+    fields = np.matmul(geo.centroid_modes, xi[:, :, None])
     np.exp(fields, out=fields)
-    stencil = (geo.stencil_matrix @ fields[:, :, 0].T).T
-    return stencil[0] if xi.ndim == 1 else stencil
+    return (geo.stencil_matrix @ fields[:, :, 0].T).T
 
 
 def factor(mesh: StructuredMesh, xi: np.ndarray,
            out: RedBlackFactor | None = None) -> RedBlackFactor:
-    """Assemble and factor the interior stiffness of one sample xi (4,) or of
-    a stack (m, 4), into out when given (see red_black_cholesky)."""
+    """Assemble and factor the interior stiffnesses of a stack of samples xi
+    (m, 4), or of one sample (4,) as a stack of one, into out when given
+    (see red_black_cholesky)."""
     return red_black_cholesky(assemble(mesh, xi), mesh, out)
 
 
@@ -491,25 +481,24 @@ def solve_state(factor: RedBlackFactor, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     mesh = factor.mesh
     rhs = (lumped_weights(mesh) * u)[mesh.interior]
-    lead = factor.red_diag.shape[:-1]  # () for one sample, (m,) for a stack
-    y = np.zeros(lead + (mesh.n_nodes,))
-    y[..., mesh.interior] = band_solve(factor,
-                                       np.broadcast_to(rhs, lead + rhs.shape))
+    y = np.zeros((len(factor), mesh.n_nodes))
+    loads = rhs[None, :, None].repeat(len(factor), axis=0)
+    y[:, mesh.interior] = band_solve(factor, loads)[..., 0]
     return y
 
 
 def solve_adjoint(factor: RedBlackFactor, y: np.ndarray,
                   y_d: np.ndarray) -> np.ndarray:
     """Solve the adjoint equation K p = W (y - y_d) with zero boundary values
-    (as in solve_state; for a stack, y holds one state per sample)."""
+    as in solve_state, given one state per sample, y (m, n_nodes)."""
     y = np.asarray(y, dtype=float)
     y_d = np.asarray(y_d, dtype=float)
     if y.shape[-1:] != y_d.shape:
         raise ValueError("state and target live on different meshes")
     mesh = factor.mesh
-    rhs = (lumped_weights(mesh) * (y - y_d))[..., mesh.interior]
+    rhs = (lumped_weights(mesh) * (y - y_d))[:, mesh.interior]
     p = np.zeros(y.shape)
-    p[..., mesh.interior] = band_solve(factor, rhs)
+    p[:, mesh.interior] = band_solve(factor, rhs[:, :, None])[..., 0]
     return p
 
 

@@ -74,6 +74,9 @@ class ExperimentConfig:
         if self.runs < 1 or self.eval_samples < 1 or self.K < 1:
             raise ConfigError("runs, eval_samples and K must all be >= 1")
         self.methods = tuple(self.methods)
+        if not self.methods:
+            # a run without methods would write a header-only CSV
+            raise ConfigError("methods must name at least one method")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
@@ -175,11 +178,6 @@ def build_problem(cfg: ExperimentConfig):
                             u_max=cfg.u_max, sigma=cfg.quad_sigma)
 
 
-def batch_schedule(cfg: ExperimentConfig) -> BatchSchedule:
-    return BatchSchedule(rule=cfg.batch_rule, c=cfg.batch_c, p=cfg.batch_p,
-                         floor=cfg.batch_floor)
-
-
 def _run_rng(cfg: ExperimentConfig, method: str, run_idx: int):
     ss = np.random.SeedSequence((cfg.seed, _METHOD_IDS[method], run_idx))
     run_seed = int(ss.generate_state(1)[0])
@@ -198,17 +196,12 @@ def _estimate_l_hat(cfg: ExperimentConfig, problem) -> float:
     return estimate_L(problem, np.zeros(problem.dim), rng, n_calls=cfg.l_est_calls)
 
 
-def make_params(cfg: ExperimentConfig, l_hat: float | None = None):
-    if cfg.regime == "strongly_convex":
-        return derive_strongly_convex_params(cfg.alpha, cfg.mu)
-    if l_hat is None:
-        raise ConfigError("convex regime needs an L estimate")
-    return derive_convex_params(cfg.beta, cfg.mu, l_hat)
-
-
 def make_solver(method: str, cfg: ExperimentConfig, problem, batch,
-                params=None, l_hat: float | None = None):
+                l_hat: float | None = None):
     if method == "admm":
+        params = (derive_strongly_convex_params(cfg.alpha, cfg.mu)
+                  if cfg.regime == "strongly_convex"
+                  else derive_convex_params(cfg.beta, cfg.mu, l_hat))
         return AdmmSolver(problem, params, batch)
     if method == "spg":
         return SpgSolver(problem, batch, l_hat=l_hat)
@@ -241,16 +234,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
     """
     problem = build_problem(cfg)
     eval_set = build_eval_set(cfg, problem)
-    batch = batch_schedule(cfg)
+    batch = BatchSchedule(rule=cfg.batch_rule, c=cfg.batch_c, p=cfg.batch_p,
+                          floor=cfg.batch_floor)
 
     needs_l = cfg.regime == "convex" or "spg" in cfg.methods
     l_hat = _estimate_l_hat(cfg, problem) if needs_l else None
-    params = make_params(cfg, l_hat) if "admm" in cfg.methods else None
 
     w = problem.weights
     records = []
     for method in cfg.methods:
-        solver = make_solver(method, cfg, problem, batch, params=params, l_hat=l_hat)
+        solver = make_solver(method, cfg, problem, batch, l_hat=l_hat)
         for run_idx in range(cfg.runs):
             rng, run_seed = _run_rng(cfg, method, run_idx)
             rows = []
@@ -306,6 +299,15 @@ def _write_summary(records, path):
         json.dump(summary, fh, indent=2, sort_keys=True)
 
 
+def _by_run(records, field: str) -> tuple[np.ndarray, np.ndarray]:
+    """The iteration counts and the (runs, K) matrix of a RunRow field."""
+    if len({len(rec.rows) for rec in records}) > 1:
+        raise ValueError("runs have mismatched iteration counts")
+    ks = np.array([row.k for row in records[0].rows])
+    return ks, np.array([[getattr(row, field) for row in rec.rows]
+                         for rec in records])
+
+
 def envelope(records) -> EnvelopeStats:
     """Per-iteration min/mean/max of the objective over runs of one method."""
     if len(records) < 2:
@@ -313,10 +315,7 @@ def envelope(records) -> EnvelopeStats:
     methods = {rec.method for rec in records}
     if len(methods) > 1:
         raise ValueError(f"envelope mixes methods: {sorted(methods)}")
-    ks = np.array([row.k for row in records[0].rows])
-    objs = np.array([[row.objective for row in rec.rows] for rec in records])
-    if objs.shape[1] != ks.size:
-        raise ValueError("runs have mismatched iteration counts")
+    ks, objs = _by_run(records, "objective")
     return EnvelopeStats(k=ks, min=objs.min(axis=0), mean=objs.mean(axis=0),
                          max=objs.max(axis=0))
 
@@ -327,8 +326,7 @@ def mean_by_k(records, method: str, field: str) -> tuple[np.ndarray, np.ndarray]
     recs = [r for r in records if r.method == method]
     if not recs:
         raise ValueError(f"no records for method {method!r}")
-    ks = np.array([row.k for row in recs[0].rows])
-    values = np.array([[getattr(row, field) for row in rec.rows] for rec in recs])
+    ks, values = _by_run(recs, field)
     return ks, values.mean(axis=0)
 
 
@@ -360,33 +358,33 @@ def fit_rate_slope(records, k_range: tuple[int, int],
 
 
 def sparsity_table(cfg: ExperimentConfig, beta_list) -> dict:
-    """Final-iterate sparsity per batch rule (growing vs constant-1) and beta.
+    """Final-iterate sparsity of admm per batch rule (cfg's vs constant-1)
+    and beta, averaged over cfg.runs runs of run_experiment.
 
     Returns {rule_name: [fraction per beta]}; warns if a row is not monotone
-    non-increasing in beta.
+    non-increasing in beta. Raises RuntimeError if a run failed, rather than
+    averaging the runs that are left.
     """
     beta_list = list(beta_list)
     if not beta_list:
         raise ValueError("beta_list must be nonempty")
-    rules = {
-        "paper_power": batch_schedule(cfg),
-        "constant_1": BatchSchedule(rule="constant", floor=1),
-    }
+    # cfg's own batch rule, then one sample per step
+    rules = {"paper_power": {},
+             "constant_1": dict(batch_rule="constant", batch_floor=1)}
     table = {}
-    for name, batch in rules.items():
+    for name, rule in rules.items():
         fractions = []
         for beta in beta_list:
-            beta_cfg = replace(cfg, beta=beta)
-            problem = build_problem(beta_cfg)
-            l_hat = _estimate_l_hat(beta_cfg, problem) if cfg.regime == "convex" else None
-            params = make_params(beta_cfg, l_hat)
-            per_run = []
-            for run_idx in range(cfg.runs):
-                rng, _ = _run_rng(beta_cfg, "admm", run_idx)
-                solver = AdmmSolver(problem, params, batch)
-                state = run_solver(solver, cfg.K, rng)
-                per_run.append(sparsity_fraction(state.z, problem.weights))
-            fractions.append(float(np.mean(per_run)))
+            # sparsity needs no objective: one eval sample keeps scoring
+            # cheap (200 would add about 8 s to criterion 10)
+            records = run_experiment(replace(cfg, beta=beta, methods=("admm",),
+                                             eval_samples=1, **rule))
+            if len(records) != cfg.runs:
+                raise RuntimeError(f"{cfg.runs - len(records)} of {cfg.runs} "
+                                   f"admm runs failed for rule {name} at "
+                                   f"beta={beta}")
+            fractions.append(float(np.mean([rec.rows[-1].sparsity
+                                            for rec in records])))
         if any(b > a + 1e-9 for a, b in zip(fractions, fractions[1:])):
             logger.warning("sparsity not monotone for rule %s: %s", name, fractions)
         table[name] = fractions
@@ -468,7 +466,7 @@ def fem_verify(h_list=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5),
     for h in h_list:
         mesh = fem.build_mesh(h)
         y = fem.solve_state(fem.factor(mesh, np.zeros(4)),
-                            fem.interpolate(mesh, forcing))
+                            fem.interpolate(mesh, forcing))[0]
         errors.append(fem.l2_error(y, exact, mesh, fem.lumped_weights(mesh)))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     ok = all(order_range[0] <= o <= order_range[1] for o in orders)

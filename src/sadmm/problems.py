@@ -113,7 +113,7 @@ class EllipticControlProblem:
             yield from self.grad(u, self.draw_samples(rng, min(_CHUNK, n - start)))
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
-        y = fem.solve_state(fem.factor(self.mesh, xi), self._full(u))
+        y = fem.solve_state(fem.factor(self.mesh, xi), self._full(u))[0]
         return (0.5 * wnorm(y - self.y_d, self.state_weights) ** 2
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
@@ -189,9 +189,9 @@ class FrozenEvalSet:
     banded Cholesky factor of each black Schur complement), and only the
     factors are kept, as one stack. Scoring a stack of iterates splits the
     loads, the target and the weights by colour once, then costs one
-    multi-right-hand-side solve per sample. The quadratic problem's smooth
-    value does not depend on the sample, so it draws no samples and scores
-    each iterate once.
+    multi-right-hand-side solve per sample, on its stack of one. The
+    quadratic problem's smooth value does not depend on the sample, so it
+    draws no samples and scores each iterate once.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -231,23 +231,26 @@ class FrozenEvalSet:
         Accepts u of shape (dim,), returning a float, or a stack of iterates
         of shape (k, dim), returning k values; vectorized over the leading
         axis. Every value equals the one a single-iterate call gives, bit for
-        bit: each factor solves all k loads in one call, column by column
-        alike, and every reduction is row-wise (wdot_rows, weighted_l1_rows).
+        bit: each sample's factor solves all k loads in one call, column by
+        column alike, and every reduction is row-wise (wdot_rows,
+        weighted_l1_rows).
         """
         us = np.atleast_2d(u)
         zs = us if u_nonsmooth is None else np.atleast_2d(u_nonsmooth)
         prob = self.problem
         w = prob.weights
         if self._factors is not None:
-            # the lumped loads W u, one column per iterate, split by colour
+            # the lumped loads W u, one column per iterate, split by colour,
+            # each part the loads of a stack of one
             loads = (w * us).T
-            parts = [np.ascontiguousarray(loads[idx]) for idx, _, _ in self._colours]
+            parts = [np.ascontiguousarray(loads[idx])[None]
+                     for idx, _, _ in self._colours]
             alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
             smooth = np.zeros(len(us))
             for factor in self._factors:
                 sq = 0.0
                 for x, (_, y_d, w_c) in zip(factor.solve(*parts), self._colours):
-                    r = np.subtract(x.T, y_d, order="C")
+                    r = np.subtract(x[0].T, y_d, order="C")
                     sq = sq + wdot_rows(r, r, w_c)
                 smooth += 0.5 * (sq + self._boundary_sq) + alpha_terms
             smooth /= len(self._factors)

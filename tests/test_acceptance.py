@@ -43,7 +43,7 @@ def eval_set_optimum(eval_set) -> ReferenceOptimum:
         acc = np.zeros(prob.dim)
         for factor in factors:
             y = fem.solve_state(factor, u_full)
-            acc += fem.solve_adjoint(factor, y, y_d)[interior]
+            acc += fem.solve_adjoint(factor, y, y_d)[0, interior]
         return prob.alpha * u + acc / len(factors)
 
     no_target = np.zeros(prob.mesh.n_nodes)

@@ -68,6 +68,15 @@ class TestExitCodes:
         assert "solve_method" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_methods_is_config_error(self, tmp_path, capsys):
+        # a run without methods would write a header-only CSV
+        cfg = write_cfg(tmp_path, methods=[])
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "methods" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", list(REJECTED_BELOW_CONFIG))
     def test_value_a_solver_layer_rejects_is_config_error(self, tmp_path, capsys,
                                                           field):

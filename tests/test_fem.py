@@ -158,14 +158,14 @@ class TestAssembly:
         T = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
                      [-1, 0, 1])
         expected = (sp.kron(sp.eye(n), T) + sp.kron(T, sp.eye(n))).toarray()
-        stiffness = stencil_dense(mesh4, fem.assemble(mesh4, np.zeros(4)))
+        stiffness = stencil_dense(mesh4, fem.assemble(mesh4, np.zeros(4))[0])
         np.testing.assert_allclose(stiffness, expected, atol=1e-13)
 
     def test_stiffness_spd(self, mesh4):
         rng = np.random.default_rng(2)
         for _ in range(3):
             stiffness = stencil_dense(
-                mesh4, fem.assemble(mesh4, rng.uniform(-1, 1, size=4)))
+                mesh4, fem.assemble(mesh4, rng.uniform(-1, 1, size=4))[0])
             check_spd_structure(stiffness)
             assert np.linalg.eigvalsh(stiffness).min() > 0.0
 
@@ -177,7 +177,7 @@ class TestAssembly:
             xi = rng.uniform(-1, 1, size=4)
             expected = reference_stiffness(mesh, xi).toarray()
             np.testing.assert_allclose(
-                stencil_dense(mesh, fem.assemble(mesh, xi)), expected,
+                stencil_dense(mesh, fem.assemble(mesh, xi)[0]), expected,
                 rtol=1e-14, atol=0.0)
 
     def test_mass_symmetric_and_lumped_sums_to_area(self, mesh4):
@@ -206,13 +206,13 @@ class TestAssembly:
 class TestSolves:
     def test_state_zero_load(self, factor4):
         y = fem.solve_state(factor4, np.zeros(25))
-        np.testing.assert_array_equal(y, np.zeros(25))
+        np.testing.assert_array_equal(y, np.zeros((1, 25)))
 
     def test_state_boundary_values_zero(self, mesh4):
         rng = np.random.default_rng(3)
         factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
         y = fem.solve_state(factor, rng.standard_normal(25))
-        assert np.all(y[mesh4.boundary_mask] == 0.0)
+        assert np.all(y[:, mesh4.boundary_mask] == 0.0)
 
     def test_maximum_principle(self, mesh4):
         # nonnegative load with an M-matrix stiffness gives nonnegative state
@@ -230,35 +230,56 @@ class TestSolves:
         xi = rng.uniform(-1, 1, size=4)
         factor = fem.factor(mesh, xi)
         side = 2 ** level - 1
-        # the black Schur complement has half the nodes and half-bandwidth
-        # side (the stiffness: side + 1); level 1 keeps one empty band row
-        assert factor.schur.shape == (min(side + 1, side * side),
+        # one sample is a stack of one. The black Schur complement has half
+        # the nodes and half-bandwidth side (the stiffness: side + 1); level
+        # 1 keeps one empty band row
+        assert factor.schur.shape == (1, min(side + 1, side * side),
                                       side * side // 2)
         u = rng.standard_normal(mesh.n_nodes)
         loads = (fem.lumped_weights(mesh) * u)[mesh.interior]
         expected = spsolve(reference_stiffness(mesh, xi).tocsc(), loads)
-        y = fem.solve_state(factor, u)[mesh.interior]
+        y = fem.solve_state(factor, u)[0, mesh.interior]
         assert (np.linalg.norm(y - expected)
                 <= 1e-12 * np.linalg.norm(expected))
-        # a stack of right-hand sides solves column by column alike; at
-        # level 1 it must not reach dpbtrs, which rejects an empty system
-        stacked = fem.band_solve(factor, np.column_stack([loads, loads]))
-        np.testing.assert_array_equal(stacked, np.column_stack([y, y]))
+        # several right-hand sides solve column by column alike; at level 1
+        # they must not reach dpbtrs, which rejects an empty system
+        stacked = fem.band_solve(factor, np.column_stack([loads, loads])[None])
+        np.testing.assert_array_equal(stacked[0], np.column_stack([y, y]))
 
     def test_multi_rhs_band_solve_matches_column_solves(self):
+        # 7 right-hand sides per sample on a stack of one and of 5, against
+        # each column alone and each sample's stack of one
         mesh = fem.build_mesh(2.0 ** -5)
         rng = np.random.default_rng(15)
-        factor = fem.factor(mesh, rng.uniform(-1, 1, size=4))
-        rhs = rng.standard_normal((mesh.interior.size, 7))
-        x = fem.band_solve(factor, rhs)
-        assert x.shape == rhs.shape
-        for j in range(rhs.shape[1]):
-            np.testing.assert_array_equal(x[:, j],
-                                          fem.band_solve(factor, rhs[:, j]))
+        for m in (1, 5):
+            factor = fem.factor(mesh, rng.uniform(-1, 1, size=(m, 4)))
+            rhs = rng.standard_normal((m, mesh.interior.size, 7))
+            x = fem.band_solve(factor, rhs)
+            assert x.shape == rhs.shape
+            for j in range(rhs.shape[2]):
+                np.testing.assert_array_equal(
+                    x[:, :, j:j + 1], fem.band_solve(factor, rhs[:, :, j:j + 1]))
+            for i, one in enumerate(factor):
+                np.testing.assert_array_equal(
+                    x[i:i + 1], fem.band_solve(one, rhs[i:i + 1]))
+
+    def test_integer_index_and_iteration_give_stacks_of_one(self, mesh4):
+        assert len(fem.factor(mesh4, np.zeros(4))) == 1
+        stack = fem.factor(mesh4, np.random.default_rng(17).uniform(
+            -1, 1, size=(3, 4)))
+        for i in (0, 2, -1):
+            assert len(stack[i]) == 1
+            np.testing.assert_array_equal(stack[i].schur, stack.schur[i][None])
+            np.testing.assert_array_equal(stack[i].red_diag,
+                                          stack.red_diag[i][None])
+        assert [len(item) for item in stack] == [1, 1, 1]
+        assert len(stack[1:]) == 2
+        with pytest.raises(IndexError):
+            stack[3]
 
     def test_indefinite_band_raises(self, mesh4):
         stencil = fem.assemble(mesh4, np.zeros(4))
-        stencil[pivot(mesh4, 4)] = -1.0  # a negative diagonal entry
+        stencil[0, pivot(mesh4, 4)] = -1.0  # a negative diagonal entry
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.red_black_cholesky(stencil, mesh4)
 
@@ -266,7 +287,7 @@ class TestSolves:
         # node 1 is black: its pivot reaches dpbtrf through the Schur
         # complement, while node 4 above is a red pivot checked before S
         stencil = fem.assemble(mesh4, np.zeros(4))
-        stencil[pivot(mesh4, 1)] = -1.0
+        stencil[0, pivot(mesh4, 1)] = -1.0
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.red_black_cholesky(stencil, mesh4)
 
@@ -290,9 +311,9 @@ class TestSolves:
         u = rng.standard_normal(25)
         y = fem.solve_state(factor, rng.standard_normal(25))
         y_d = rng.standard_normal(25)
-        p = fem.solve_adjoint(factor, y, y_d)
+        p = fem.solve_adjoint(factor, y, y_d)[0]
         lhs = wdot(u, p, w)
-        rhs = wdot(fem.solve_state(factor, u), y - y_d, w)
+        rhs = wdot(fem.solve_state(factor, u)[0], y[0] - y_d, w)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_adjoint_shape_mismatch(self, factor4):

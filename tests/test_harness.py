@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, telemetry, artifacts, statistics."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -275,6 +276,16 @@ class TestStatistics:
         with pytest.raises(ValueError, match="mixes methods"):
             envelope(records)
 
+    def test_runs_of_unequal_length_are_rejected(self, records):
+        # both statistics build their (runs, K) matrix the same way
+        admm = [r for r in records if r.method == "admm"]
+        short = replace(admm[1], rows=admm[1].rows[:-1])
+        for runs in ([admm[0], short], [short, admm[0]]):
+            with pytest.raises(ValueError, match="mismatched iteration counts"):
+                envelope(runs)
+            with pytest.raises(ValueError, match="mismatched iteration counts"):
+                mean_by_k(runs, "admm", "objective")
+
     def test_loglog_slope_recovers_power_law(self):
         k = np.arange(1, 500)
         for p in (-2.0, -1.0, -0.5):
@@ -311,6 +322,23 @@ class TestSparsityTable:
     def test_empty_beta_list(self):
         with pytest.raises(ValueError, match="nonempty"):
             sparsity_table(tiny_quadratic_cfg(), [])
+
+    def test_failed_run_is_an_error(self, monkeypatch):
+        # run_experiment logs and drops a failed run; the table must not
+        # average the runs that are left
+        calls = []
+        run_solver = harness.run_solver
+
+        def fail_third_run(solver, K, rng, hook=None):
+            calls.append(solver)
+            if len(calls) == 3:
+                raise FloatingPointError("run failed")
+            return run_solver(solver, K, rng, hook=hook)
+
+        monkeypatch.setattr(harness, "run_solver", fail_third_run)
+        with pytest.raises(RuntimeError, match="1 of 2 admm runs failed for "
+                                               "rule paper_power at beta=0.05"):
+            sparsity_table(tiny_quadratic_cfg(runs=2), [0.0, 0.05])
 
 
 class TestChecks:
