@@ -73,6 +73,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown regime {self.regime!r}")
         if self.runs < 1 or self.eval_samples < 1 or self.K < 1:
             raise ConfigError("runs, eval_samples and K must all be >= 1")
+        if isinstance(self.methods, str):  # tuple() would split it into letters
+            raise ConfigError(f"methods must be a list of method names, "
+                              f"got the string {self.methods!r}")
         self.methods = tuple(self.methods)
         if not self.methods:
             # a run without methods would write a header-only CSV
@@ -284,17 +287,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
 
 def _write_summary(records, path):
     summary = {}
-    for rec in records:
-        final = rec.rows[-1]
-        entry = summary.setdefault(rec.method, {"final_objectives": [],
-                                                "final_feasibility": [],
-                                                "final_sparsity": [],
-                                                "sfo_calls": final.sfo_calls})
-        entry["final_objectives"].append(final.objective)
-        entry["final_feasibility"].append(final.feasibility)
-        entry["final_sparsity"].append(final.sparsity)
-    for entry in summary.values():
-        entry["mean_final_objective"] = float(np.mean(entry["final_objectives"]))
+    for method in dict.fromkeys(rec.method for rec in records):
+        runs = [rec for rec in records if rec.method == method]
+        finals = [rec.rows[-1] for rec in runs]
+        summary[method] = {"final_objectives": [r.objective for r in finals],
+                           "final_feasibility": [r.feasibility for r in finals],
+                           "final_sparsity": [r.sparsity for r in finals],
+                           "sfo_calls": finals[0].sfo_calls,
+                           "mean_final_objective": mean_final(runs, "objective")}
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
 
@@ -328,6 +328,12 @@ def mean_by_k(records, method: str, field: str) -> tuple[np.ndarray, np.ndarray]
         raise ValueError(f"no records for method {method!r}")
     ks, values = _by_run(recs, field)
     return ks, values.mean(axis=0)
+
+
+def mean_final(records, field: str) -> float:
+    """The mean over runs of a RunRow field's final value, in run order (from
+    8 runs on, mean_by_k's last entry can differ from it in the last bit)."""
+    return float(np.mean([getattr(rec.rows[-1], field) for rec in records]))
 
 
 def fit_loglog_slope(k: np.ndarray, values: np.ndarray,
@@ -383,8 +389,7 @@ def sparsity_table(cfg: ExperimentConfig, beta_list) -> dict:
                 raise RuntimeError(f"{cfg.runs - len(records)} of {cfg.runs} "
                                    f"admm runs failed for rule {name} at "
                                    f"beta={beta}")
-            fractions.append(float(np.mean([rec.rows[-1].sparsity
-                                            for rec in records])))
+            fractions.append(mean_final(records, "sparsity"))
         if any(b > a + 1e-9 for a, b in zip(fractions, fractions[1:])):
             logger.warning("sparsity not monotone for rule %s: %s", name, fractions)
         table[name] = fractions

@@ -10,10 +10,11 @@ import pytest
 from sadmm import fem
 from sadmm.harness import (ExperimentConfig, build_eval_set, build_problem,
                            envelope, fem_verify, fit_rate_slope, grad_check,
-                           load_csv, run_experiment, sparsity_table)
-from sadmm.hilbert import project_box, soft_threshold, wdot, wnorm
+                           load_csv, mean_final, run_experiment,
+                           sparsity_table)
+from sadmm.hilbert import soft_threshold
 from sadmm.optim import theta_next
-from sadmm.problems import ReferenceOptimum, reference_optimum
+from sadmm.problems import reference_optimum
 
 
 def report(capsys, number, passed, detail):
@@ -21,65 +22,6 @@ def report(capsys, number, passed, detail):
         print(f"criterion {number:2d}: {'PASS' if passed else 'FAIL'} "
               f"- {detail}", flush=True)
     assert passed, detail
-
-
-def eval_set_optimum(eval_set) -> ReferenceOptimum:
-    """Exact minimizer of the frozen-eval-set objective of an elliptic problem.
-
-    Deterministic accelerated proximal gradient (prox = clamp o soft-threshold)
-    with gradient restart on the sample-average smooth part, run to a
-    prox-gradient residual <= 1e-12 as in `reference_optimum`. Each eval
-    sample's stiffness is assembled and factored once; L comes from
-    power iteration on the (linear) gradient with zero target.
-    """
-    prob = eval_set.problem
-    interior = prob.mesh.interior
-    w = prob.weights
-    factors = [fem.factor(prob.mesh, xi) for xi in eval_set.samples]
-
-    def smooth_grad(u, y_d):
-        u_full = np.zeros(prob.mesh.n_nodes)
-        u_full[interior] = u
-        acc = np.zeros(prob.dim)
-        for factor in factors:
-            y = fem.solve_state(factor, u_full)
-            acc += fem.solve_adjoint(factor, y, y_d)[0, interior]
-        return prob.alpha * u + acc / len(factors)
-
-    no_target = np.zeros(prob.mesh.n_nodes)
-    v = np.ones(prob.dim) / wnorm(np.ones(prob.dim), w)
-    L = 0.0
-    for _ in range(100):
-        hv = smooth_grad(v, no_target)
-        L_prev, L = L, wdot(v, hv, w)
-        v = hv / wnorm(hv, w)
-        if abs(L - L_prev) <= 1e-10 * L:
-            break
-    # power iteration approaches L from below; the margin keeps step <= 1/L
-    step = 1.0 / (1.01 * L)
-
-    tol = 1e-12
-    u = np.zeros(prob.dim)
-    y = u
-    t = 1.0
-    residual = np.inf
-    for _ in range(10 ** 4):
-        u_next = project_box(
-            soft_threshold(y - step * smooth_grad(y, prob.y_d),
-                           step * prob.beta), prob.u_min, prob.u_max)
-        residual = float(np.linalg.norm(y - u_next)) / step
-        if residual <= tol:
-            u = u_next
-            break
-        if wdot(y - u_next, u_next - u, w) > 0.0:
-            t, y = 1.0, u_next
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = u_next + ((t - 1.0) / t_next) * (u_next - u)
-            t = t_next
-        u = u_next
-    return ReferenceOptimum(u=u, objective=eval_set.objective(u),
-                            residual=residual, converged=residual <= tol)
 
 
 def quadratic_cfg(**overrides):
@@ -211,13 +153,13 @@ def test_criterion_08_method_comparison(capsys):
     # gap (1.4e-4) still exceeds every baseline's (<= 1.7e-5).
     cfg = elliptic_cfg(methods=("admm", "spg", "ssg", "adasg"))
     records = run_experiment(cfg)
-    ref = eval_set_optimum(build_eval_set(cfg, build_problem(cfg)))
+    ref = build_eval_set(cfg, build_problem(cfg)).optimum()
     gaps = {}
     budgets = {}
     for method in cfg.methods:
-        rows = [rec.rows[-1] for rec in records if rec.method == method]
-        gaps[method] = float(np.mean([r.objective for r in rows])) - ref.objective
-        budgets[method] = {r.sfo_calls for r in rows}
+        runs = [rec for rec in records if rec.method == method]
+        gaps[method] = mean_final(runs, "objective") - ref.objective
+        budgets[method] = {rec.rows[-1].sfo_calls for rec in runs}
     equal_budget = len(set(frozenset(b) for b in budgets.values())) == 1
     positive = all(g > 0.0 for g in gaps.values())
     gap_slope = fit_rate_slope(records, (20, 50), ref.objective,
@@ -241,8 +183,8 @@ def test_criterion_09_batch_averaging(capsys):
     constant = run_experiment(elliptic_cfg(methods=("admm",),
                                            batch_rule="constant",
                                            batch_floor=1))
-    mean_grown = float(np.mean([r.rows[-1].objective for r in grown]))
-    mean_const = float(np.mean([r.rows[-1].objective for r in constant]))
+    mean_grown = mean_final(grown, "objective")
+    mean_const = mean_final(constant, "objective")
     ok = mean_grown <= mean_const
     report(capsys, 9, ok,
            f"growing-batch mean final objective {mean_grown:.6f} <= "

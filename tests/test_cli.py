@@ -77,6 +77,11 @@ class TestExitCodes:
         assert err.startswith("configuration error") and "methods" in err
         assert not out.exists()
 
+    def test_string_methods_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, methods="admm")
+        assert cli.main(["run", "--config", str(cfg)]) == 2
+        assert "list of method names" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", list(REJECTED_BELOW_CONFIG))
     def test_value_a_solver_layer_rejects_is_config_error(self, tmp_path, capsys,
                                                           field):

@@ -39,6 +39,7 @@ class TestConfig:
         {"eval_samples": 0},
         {"methods": ("admm", "sgd")},
         {"regime": "strongly_convex", "alpha": 0.0},
+        {"methods": "admm"},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ConfigError):

@@ -86,14 +86,18 @@ class TestQuadraticProblem:
                           for _ in range(200)])
         assert dev100 < 0.3 * dev1
 
-    def test_smooth_lipschitz_bounds_gradient_variation(self):
+    def test_smooth_lipschitz_bounds_gradient_variation(self, elliptic):
+        # the quadratic's exact L and the eval set's power-iteration L, each
+        # in its problem's W-norm
         prob = make_quadratic(sigma=0.0)
-        L = prob.smooth_lipschitz()
+        ev = FrozenEvalSet(elliptic, 3, 0)
         rng = np.random.default_rng(5)
-        for _ in range(10):
-            u, v = rng.standard_normal((2, prob.dim))
-            assert (np.linalg.norm(prob.exact_grad(u) - prob.exact_grad(v))
-                    <= L * np.linalg.norm(u - v) * (1 + 1e-12))
+        for grad, L, w in ((prob.exact_grad, prob.smooth_lipschitz(), prob.weights),
+                           (ev.smooth_grad, ev.smooth_lipschitz(), elliptic.weights)):
+            for _ in range(10):
+                u, v = rng.standard_normal((2, len(w)))
+                assert (wnorm(grad(u) - grad(v), w)
+                        <= L * wnorm(u - v, w) * (1 + 1e-12))
 
 
 class TestEllipticProblem:
@@ -138,6 +142,11 @@ class TestEllipticProblem:
             fd = (elliptic.smooth_value(u + eps * d, xi)
                   - elliptic.smooth_value(u - eps * d, xi)) / (2 * eps)
             assert wdot(elliptic.grad(u, xi), d, w) == pytest.approx(fd, rel=1e-6)
+        # the eval set's exact gradient; at beta = 0 its objective is smooth
+        ev = FrozenEvalSet(EllipticControlProblem(elliptic.mesh, elliptic.alpha,
+                                                  beta=0.0), 4, 0)
+        fd = (ev.objective(u + eps * d) - ev.objective(u - eps * d)) / (2 * eps)
+        assert wdot(ev.smooth_grad(u), d, w) == pytest.approx(fd, rel=1e-6)
 
     def test_averaged_grad_is_mean_of_sequential_samples(self, elliptic):
         u = np.ones(elliptic.dim)
@@ -254,6 +263,10 @@ class TestObjectives:
         ev = FrozenEvalSet(elliptic, 4, 0)
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
+        np.testing.assert_allclose(
+            ev.smooth_grad(u),
+            np.mean([elliptic.grad(u, xi) for xi in ev.samples], axis=0),
+            rtol=1e-12)
 
     @pytest.mark.parametrize("n_samples", [5, 11])
     def test_eval_set_factors_outlive_oracle_calls(self, elliptic, n_samples):
@@ -290,23 +303,28 @@ class TestObjectives:
 
 
 class TestReferenceOptimum:
-    def test_fixed_point_and_optimality(self):
-        prob = make_quadratic(alpha=1.0, beta=0.3, sigma=0.0)
-        ref = reference_optimum(prob)
-        assert ref.converged and ref.residual <= 1e-12
-        # optimality: u* is a fixed point of the prox-gradient map
-        step = 1.0 / prob.smooth_lipschitz()
-        back = project_box(
-            soft_threshold(ref.u - step * prob.exact_grad(ref.u),
-                           step * prob.beta),
-            prob.u_min, prob.u_max)
-        np.testing.assert_allclose(back, ref.u, atol=1e-11)
-        # no feasible random point does better
+    def test_fixed_point_and_optimality(self, elliptic):
+        # the quadratic problem's optimum, then the elliptic eval set's
+        quad = make_quadratic(alpha=1.0, beta=0.3, sigma=0.0)
+        ev = FrozenEvalSet(elliptic, 3, 0)
         rng = np.random.default_rng(10)
-        for _ in range(20):
-            v = rng.uniform(prob.u_min, prob.u_max, size=prob.dim)
-            assert (prob.smooth_value(v) + nonsmooth_value(prob, v)
-                    >= ref.objective - 1e-12)
+        for prob, ref, grad, L, objective in (
+                (quad, reference_optimum(quad), quad.exact_grad,
+                 quad.smooth_lipschitz(),
+                 lambda v: quad.smooth_value(v) + nonsmooth_value(quad, v)),
+                (elliptic, ev.optimum(), ev.smooth_grad, ev.smooth_lipschitz(),
+                 ev.objective)):
+            assert ref.converged and ref.residual <= 1e-12
+            # optimality: u* is a fixed point of the prox-gradient map
+            step = 1.0 / L
+            back = project_box(
+                soft_threshold(ref.u - step * grad(ref.u), step * prob.beta),
+                prob.u_min, prob.u_max)
+            np.testing.assert_allclose(back, ref.u, atol=1e-11)
+            # no feasible random point does better
+            for _ in range(20):
+                v = rng.uniform(prob.u_min, prob.u_max, size=prob.dim)
+                assert objective(v) >= ref.objective - 1e-12
 
     def test_objective_value_reported_at_optimum(self):
         prob = make_quadratic(alpha=2.0, beta=0.0, sigma=0.0)
