@@ -62,7 +62,7 @@ def cmd_compare(args) -> int:
     for method in cfg.methods:
         ks, mean_obj = harness.mean_by_k(records, method, "objective")
         series[method] = (ks, mean_obj)
-    emit_svg(series, out / "compare.svg", log_y=True)
+    emit_svg(series, out / "compare.svg")
     print(f"wrote {out / 'compare.svg'}")
     return 0
 
@@ -88,7 +88,7 @@ def cmd_envelope(args) -> int:
     records = harness.run_experiment(cfg, out_dir=out)
     env = harness.envelope(records)
     emit_svg({"min": (env.k, env.min), "mean": (env.k, env.mean),
-              "max": (env.k, env.max)}, out / "envelope.svg", log_y=True)
+              "max": (env.k, env.max)}, out / "envelope.svg")
     print(f"wrote {out / 'envelope.svg'}")
     return 0
 
@@ -98,18 +98,26 @@ def cmd_rate(args) -> int:
     if cfg.problem != "quadratic":
         raise ConfigError("rate fitting needs the quadratic problem "
                           "(a computable reference optimum)")
-    records = harness.run_experiment(cfg, out_dir=cfg.out_dir)
-    problem = harness.build_problem(cfg)
-    ref = reference_optimum(problem)
+    if "admm" not in cfg.methods:
+        raise ConfigError("rate fitting fits the admm gap; methods must "
+                          "include admm")
     k_range = (args.k_min, args.k_max or cfg.K)
-    slope = harness.fit_rate_slope(records, k_range, ref.objective,
-                                   method="admm", quantity="gap")
+    n_points = min(k_range[1], cfg.K) - max(k_range[0], 1) + 1
+    if n_points < 5:
+        raise ConfigError(f"K={cfg.K} leaves {max(n_points, 0)} iterations "
+                          f"in [{k_range[0]}, {k_range[1]}]; the slope fit "
+                          "needs at least 5 (see --k-min and --k-max)")
+    records = harness.run_experiment(cfg, out_dir=cfg.out_dir)
+    ref = reference_optimum(harness.build_problem(cfg))
+    slope = harness.fit_rate_slope(records, k_range, ref.objective)
     print(f"objective-gap log-log slope over k in {k_range}: {slope:.4f}")
     return 0
 
 
 def cmd_grad_check(args) -> int:
-    report = harness.grad_check(seed=args.seed if args.seed is not None else 0)
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    report = harness.grad_check(seed=args.seed)
     for d in report.details:
         print(f"check {d['check']}: rel_err={d['rel_err']:.3e} "
               f"{'ok' if d['ok'] else 'FAIL'}")
@@ -166,11 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rate)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient check")
-    common(p, methods=False)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("fem-verify", help="manufactured-solution FEM order")
-    common(p, methods=False)
     p.set_defaults(func=cmd_fem_verify)
 
     return parser

@@ -41,7 +41,6 @@ class AdmmParams:
     rho: float
     eta: float
     regime: str
-    l_hat: float | None = None  # gradient-norm estimate behind the convex eta rule
 
     def __post_init__(self):
         if not (0.0 < self.mu < 1.0):
@@ -76,14 +75,14 @@ def derive_convex_params(beta: float, mu: float, l_hat: float) -> AdmmParams:
             "proceeding with the experimental rule",
             eta, mu * rho / (1.0 - mu) + l_hat,
         )
-    return AdmmParams(mu=mu, rho=rho, eta=eta, regime="convex", l_hat=l_hat)
+    return AdmmParams(mu=mu, rho=rho, eta=eta, regime="convex")
 
 
 @dataclass(frozen=True)
 class BatchSchedule:
+    """m_k = max(floor, ceil(0.5 k^1.1)) (the paper's power rule) or
+    m_k = floor (constant)."""
     rule: str = "paper_power"  # "paper_power" | "constant"
-    c: float = 0.5
-    p: float = 1.1
     floor: int = 1
 
     def __post_init__(self):
@@ -94,7 +93,7 @@ class BatchSchedule:
 
     def size(self, k: int) -> int:
         if self.rule == "paper_power":
-            return max(self.floor, math.ceil(self.c * k ** self.p))
+            return max(self.floor, math.ceil(0.5 * k ** 1.1))
         return self.floor
 
 
@@ -219,18 +218,18 @@ class SpgSolver(_SgSolverBase):
 
 
 class SsgSolver(_SgSolverBase):
-    """Stochastic subgradient method; sign(0) = 0 subgradient choice."""
+    """Stochastic subgradient method; sign(0) = 0 subgradient choice.
+    Steps 1/(alpha (k+1)) (strongly convex) or 1/sqrt(k+1) (convex)."""
 
-    def __init__(self, problem, batch: BatchSchedule, c: float = 1.0,
+    def __init__(self, problem, batch: BatchSchedule,
                  alpha: float | None = None):
         super().__init__(problem, batch)
-        self.c = c
-        self.alpha = alpha  # None -> general convex c/sqrt(k+1) policy
+        self.alpha = alpha  # None -> general convex 1/sqrt(k+1) policy
 
     def step_size(self, k: int) -> float:
         if self.alpha is not None and self.alpha > 0.0:
-            return self.c / (self.alpha * (k + 1))
-        return self.c / math.sqrt(k + 1)
+            return 1.0 / (self.alpha * (k + 1))
+        return 1.0 / math.sqrt(k + 1)
 
     def step(self, state: SgState, rng: np.random.Generator) -> SgState:
         G, m_k = self._grad(state, rng)
@@ -242,20 +241,14 @@ class SsgSolver(_SgSolverBase):
 
 
 class AdaSgSolver(_SgSolverBase):
-    """Adaptive SG: per-node steps gamma / sqrt(eps + cumulative G^2),
+    """Adaptive SG: per-node steps 1 / sqrt(1e-8 + cumulative G^2),
     followed by the same composite prox as SPG."""
-
-    def __init__(self, problem, batch: BatchSchedule, gamma: float = 1.0,
-                 eps: float = 1e-8):
-        super().__init__(problem, batch)
-        self.gamma = gamma
-        self.eps = eps
 
     def step(self, state: SgState, rng: np.random.Generator) -> SgState:
         G, m_k = self._grad(state, rng)
         acc = (state.grad_sq_sum if state.grad_sq_sum is not None
                else np.zeros(self.problem.dim)) + G * G
-        steps = self.gamma / np.sqrt(self.eps + acc)
+        steps = 1.0 / np.sqrt(1e-8 + acc)
         u1 = project_box(
             soft_threshold(state.u - steps * G, steps * self.problem.beta),
             self.problem.u_min, self.problem.u_max)

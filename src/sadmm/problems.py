@@ -225,10 +225,8 @@ class FrozenEvalSet:
             self._boundary_sq = wdot(y_d_b, y_d_b,
                                      problem.state_weights[mesh.boundary_mask])
 
-    def objective(self, u: np.ndarray,
-                  u_nonsmooth: np.ndarray | None = None) -> float | np.ndarray:
-        """Mean smooth value at u plus the L1 term, evaluated at u_nonsmooth
-        (defaults to u; for splitting methods pass the thresholded iterate).
+    def objective(self, u: np.ndarray) -> float | np.ndarray:
+        """Mean smooth value at u plus the L1 term at u.
 
         Accepts u of shape (dim,), returning a float, or a stack of iterates
         of shape (k, dim), returning k values; vectorized over the leading
@@ -238,7 +236,6 @@ class FrozenEvalSet:
         weighted_l1_rows).
         """
         us = np.atleast_2d(u)
-        zs = us if u_nonsmooth is None else np.atleast_2d(u_nonsmooth)
         prob = self.problem
         w = prob.weights
         if self._factors is not None:
@@ -258,7 +255,7 @@ class FrozenEvalSet:
             smooth /= len(self._factors)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
-        values = smooth + prob.beta * weighted_l1_rows(zs, w)
+        values = smooth + prob.beta * weighted_l1_rows(us, w)
         return float(values[0]) if np.ndim(u) == 1 else values
 
     def smooth_grad(self, u: np.ndarray,

@@ -1,4 +1,5 @@
-"""Minimal self-contained SVG line charts (log-scale, legend, polylines)."""
+"""Minimal self-contained SVG line charts: objective (log scale) against
+k, with a legend and one polyline per series."""
 
 from __future__ import annotations
 
@@ -20,21 +21,16 @@ def _scale(values, lo, hi, out_lo, out_hi, log):
     return out_lo + (values - lo) / (hi - lo) * (out_hi - out_lo)
 
 
-def emit_svg(series: dict, path, log_x: bool = False, log_y: bool = True,
-             x_label: str = "k", y_label: str = "objective") -> None:
-    """Write a line chart; series maps label -> (x array, y array).
+def emit_svg(series: dict, path) -> None:
+    """Write a line chart; series maps label -> (k array, objective array).
 
-    Nonpositive values are dropped from log-scaled axes.
+    Nonpositive objectives are dropped from the log-scaled y axis.
     """
     cleaned = {}
     for label, (x, y) in series.items():
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        mask = np.isfinite(x) & np.isfinite(y)
-        if log_x:
-            mask &= x > 0
-        if log_y:
-            mask &= y > 0
+        mask = np.isfinite(x) & np.isfinite(y) & (y > 0)
         cleaned[label] = (x[mask], y[mask])
 
     xs = np.concatenate([v[0] for v in cleaned.values() if v[0].size]) \
@@ -51,16 +47,15 @@ def emit_svg(series: dict, path, log_x: bool = False, log_y: bool = True,
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" '
         f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="black"/>',
         f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 15}" text-anchor="middle" '
-        f'font-size="14">{x_label}{" (log)" if log_x else ""}</text>',
+        'font-size="14">k</text>',
         f'<text x="18" y="{_HEIGHT // 2}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 18 {_HEIGHT // 2})">'
-        f'{y_label}{" (log)" if log_y else ""}</text>',
+        f'transform="rotate(-90 18 {_HEIGHT // 2})">objective (log)</text>',
     ]
     for i, (label, (x, y)) in enumerate(cleaned.items()):
         color = _COLORS[i % len(_COLORS)]
         if x.size:
-            px = _scale(x, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN, log_x)
-            py = _scale(y, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN, log_y)
+            px = _scale(x, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN, log=False)
+            py = _scale(y, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN, log=True)
             points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
         else:
             points = ""

@@ -9,9 +9,9 @@ import pytest
 
 from sadmm import fem
 from sadmm.harness import (ExperimentConfig, build_eval_set, build_problem,
-                           envelope, fem_verify, fit_rate_slope, grad_check,
-                           load_csv, mean_final, run_experiment,
-                           sparsity_table)
+                           envelope, fem_verify, fit_loglog_slope,
+                           fit_rate_slope, grad_check, load_csv, mean_by_k,
+                           mean_final, run_experiment, sparsity_table)
 from sadmm.hilbert import soft_threshold
 from sadmm.optim import theta_next
 from sadmm.problems import reference_optimum
@@ -45,10 +45,9 @@ def test_criterion_01_strongly_convex_nonergodic_rate(capsys):
     cfg = quadratic_cfg(K=800, runs=20)
     records = run_experiment(cfg)
     ref = reference_optimum(build_problem(cfg))
-    gap_slope = fit_rate_slope(records, (50, 800), ref.objective,
-                               method="admm", quantity="gap")
-    feas_slope = fit_rate_slope(records, (50, 800), ref.objective,
-                                method="admm", quantity="feasibility")
+    gap_slope = fit_rate_slope(records, (50, 800), ref.objective)
+    feas_slope = fit_loglog_slope(*mean_by_k(records, "admm", "feasibility"),
+                                  (50, 800))
     ok = gap_slope <= -1.5 and feas_slope <= -1.5
     report(capsys, 1, ok,
            f"gap slope {gap_slope:.3f} <= -1.5 and "
@@ -60,8 +59,7 @@ def test_criterion_02_convex_nonergodic_rate(capsys):
     cfg = quadratic_cfg(regime="convex", alpha=0.0, K=2000, runs=20)
     records = run_experiment(cfg)
     ref = reference_optimum(build_problem(cfg))
-    slope = fit_rate_slope(records, (100, 2000), ref.objective,
-                           method="admm", quantity="gap")
+    slope = fit_rate_slope(records, (100, 2000), ref.objective)
     ok = slope <= -0.8
     report(capsys, 2, ok,
            f"convex gap slope {slope:.3f} <= -0.8 over K in [100, 2000]")
@@ -112,7 +110,7 @@ def test_criterion_04_subproblem_closed_forms(capsys):
 
 
 def test_criterion_05_adjoint_gradient(capsys):
-    result = grad_check(mesh_h=2.0 ** -4, n_checks=3, rel_tol=1e-5)
+    result = grad_check()
     worst = max(d["rel_err"] for d in result.details)
     report(capsys, 5, result.passed,
            f"adjoint vs finite-difference gradient, max relative error "
@@ -120,7 +118,7 @@ def test_criterion_05_adjoint_gradient(capsys):
 
 
 def test_criterion_06_fem_convergence_order(capsys):
-    result = fem_verify(h_list=(2.0 ** -3, 2.0 ** -4, 2.0 ** -5))
+    result = fem_verify()
     errors = result.details[0]["errors"]
     ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
     ok = all(3.5 <= r <= 4.5 for r in ratios)
@@ -162,10 +160,9 @@ def test_criterion_08_method_comparison(capsys):
         budgets[method] = {rec.rows[-1].sfo_calls for rec in runs}
     equal_budget = len(set(frozenset(b) for b in budgets.values())) == 1
     positive = all(g > 0.0 for g in gaps.values())
-    gap_slope = fit_rate_slope(records, (20, 50), ref.objective,
-                               method="admm", quantity="gap")
-    feas_slope = fit_rate_slope(records, (20, 50), ref.objective,
-                                method="admm", quantity="feasibility")
+    gap_slope = fit_rate_slope(records, (20, 50), ref.objective)
+    feas_slope = fit_loglog_slope(*mean_by_k(records, "admm", "feasibility"),
+                                  (20, 50))
     ok = (equal_budget and ref.converged and positive
           and gap_slope <= -1.5 and feas_slope <= -1.5)
     detail = ", ".join(f"{m}={gaps[m]:.3e}" for m in cfg.methods)

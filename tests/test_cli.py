@@ -19,8 +19,10 @@ def write_cfg(tmp_path, **overrides):
 
 
 # config values that a solver layer would reject once the run started, that
-# make a method meaningless, or that repeat a method (its runs would repeat on
-# the same run seeds), by the field the error message must name
+# make a method meaningless, that repeat a method (its runs would repeat on
+# the same run seeds), or counts that are not nonnegative integers (a float K
+# would fail every run, each logged and dropped), by the field the error
+# message must name
 REJECTED_BELOW_CONFIG = {
     "l_est_calls": {"l_est_calls": 0},
     "mu": {"mu": 1.5},
@@ -31,10 +33,11 @@ REJECTED_BELOW_CONFIG = {
     "batch_rule": {"batch_rule": "linear"},
     "beta": {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.25, "beta": -1.0},
     "quad_dim": {"quad_dim": 0},
-    "ssg_c": {"ssg_c": 0},
-    "ada_gamma": {"ada_gamma": 0},
-    "ada_eps": {"ada_eps": -1},
     "methods": {"methods": ["admm", "admm"]},
+    "K": {"K": 10.5},
+    "runs": {"runs": 1.0},
+    "eval_samples": {"eval_samples": True},
+    "seed": {"seed": -1},
 }
 
 
@@ -96,6 +99,25 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, problem="elliptic",
                         alpha=1e-4, mesh_h=0.25)
         assert cli.main(["rate", "--config", str(cfg)]) == 2
+
+    def test_rate_without_admm_fails_before_running(self, tmp_path, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(cli.harness, "run_experiment", None)
+        cfg = write_cfg(tmp_path, K=60, methods=["ssg"])
+        assert cli.main(["rate", "--config", str(cfg), "--k-min", "20"]) == 2
+        assert "admm" in capsys.readouterr().err
+
+    def test_rate_with_too_few_points_fails_before_running(self, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.setattr(cli.harness, "run_experiment", None)
+        cfg = write_cfg(tmp_path, K=10)
+        assert cli.main(["rate", "--config", str(cfg)]) == 2
+        assert cli.main(["rate", "--config", str(cfg), "--k-min", "7"]) == 2
+        assert "at least 5" in capsys.readouterr().err
+
+    def test_negative_grad_check_seed_is_config_error(self, capsys):
+        assert cli.main(["grad-check", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_check_failure_is_exit_one(self, monkeypatch):
         failing = CheckReport(name="fem_verify", passed=False,

@@ -58,7 +58,6 @@ class TestParameterDerivation:
         p = derive_convex_params(beta=5.0, mu=0.2, l_hat=1.0)
         assert p.rho == 5.0
         assert p.eta == pytest.approx(0.2 * 5.0 / 0.8 + 1.01 * 1.0)
-        assert p.l_hat == 1.0
 
     def test_convex_rule_caps_at_rho_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="sadmm.optim"):
@@ -221,17 +220,16 @@ class TestBaselines:
 
     def test_ssg_step_size_policies(self):
         prob = make_problem()
-        sc = SsgSolver(prob, BatchSchedule(), c=2.0, alpha=0.5)
-        assert sc.step_size(0) == pytest.approx(2.0 / 0.5)
-        assert sc.step_size(9) == pytest.approx(2.0 / (0.5 * 10))
-        cv = SsgSolver(prob, BatchSchedule(), c=2.0, alpha=None)
-        assert cv.step_size(3) == pytest.approx(2.0 / 2.0)
+        sc = SsgSolver(prob, BatchSchedule(), alpha=0.5)
+        assert sc.step_size(0) == pytest.approx(1.0 / 0.5)
+        assert sc.step_size(9) == pytest.approx(1.0 / (0.5 * 10))
+        cv = SsgSolver(prob, BatchSchedule(), alpha=None)
+        assert cv.step_size(3) == pytest.approx(1.0 / 2.0)
 
     def test_ssg_subgradient_at_zero(self):
         # sign(0) = 0: from u = 0 the L1 term contributes nothing
         prob = make_problem(sigma=0.0, beta=5.0)
-        solver = SsgSolver(prob, BatchSchedule(rule="constant"), c=1.0,
-                           alpha=1.0)
+        solver = SsgSolver(prob, BatchSchedule(rule="constant"), alpha=1.0)
         rng = np.random.default_rng(8)
         state = solver.step(solver.reset(), rng)
         expected = project_box(-1.0 * prob.exact_grad(np.zeros(prob.dim)),
@@ -240,7 +238,7 @@ class TestBaselines:
 
     def test_adasg_accumulates_and_shrinks_steps(self):
         prob = make_problem(sigma=0.2)
-        solver = AdaSgSolver(prob, BatchSchedule(rule="constant"), gamma=0.5)
+        solver = AdaSgSolver(prob, BatchSchedule(rule="constant"))
         rng = np.random.default_rng(9)
         state = solver.reset()
         prev_acc = np.zeros(prob.dim)
@@ -249,7 +247,7 @@ class TestBaselines:
             assert np.all(state.grad_sq_sum >= prev_acc)
             prev_acc = state.grad_sq_sum
         # accumulated squares grow, so effective steps shrink monotonically
-        assert np.all(0.5 / np.sqrt(1e-8 + prev_acc) > 0.0)
+        assert np.all(1.0 / np.sqrt(1e-8 + prev_acc) > 0.0)
 
     def test_baselines_share_sfo_accounting(self):
         prob = make_problem()

@@ -286,18 +286,11 @@ class TestObjectives:
         for prob, ev in ((elliptic, FrozenEvalSet(elliptic, 5, 0)),
                          (make_quadratic(), FrozenEvalSet(make_quadratic(), 3, 0))):
             us = rng.uniform(-2.0, 2.0, size=(4, prob.dim))
-            zs = soft_threshold(us, 0.5)
             assert ev.objective(us).tolist() == [ev.objective(u) for u in us]
-            assert ev.objective(us, zs).tolist() == [
-                ev.objective(u, z) for u, z in zip(us, zs)]
             assert type(ev.objective(us[0])) is float
 
-    def test_frozen_eval_set_split_argument(self):
+    def test_frozen_eval_set_validation(self):
         prob = make_quadratic(beta=1.0, sigma=0.0)
-        ev = FrozenEvalSet(prob, 3, 0)
-        u = np.ones(prob.dim)
-        z = np.zeros(prob.dim)
-        assert ev.objective(u, z) == pytest.approx(prob.smooth_value(u))
         with pytest.raises(ValueError, match="eval_samples"):
             FrozenEvalSet(prob, 0, 0)
 
