@@ -16,10 +16,15 @@ from . import fem
 from .hilbert import (project_box, soft_threshold, wdot, wdot_rows,
                       weighted_l1, weighted_l1_rows, wnorm)
 
-# Oracle samples, and eval samples at build time, are assembled and factored
-# in stacks of this many: larger stacks cost less per sample but more memory
-# (measured in BENCH_batched_oracle.json).
+# Oracle samples, and eval samples whenever the eval set needs their
+# factors, are assembled and factored in stacks of this many: larger stacks
+# cost less per sample but more memory (measured in
+# BENCH_batched_oracle.json).
 _CHUNK = 6
+# An eval sample solves the loads of at most this many iterates at once,
+# which bounds the working memory of scoring every iterate of an experiment
+# in one call (BENCH_stream_eval.json).
+_COLUMNS = 64
 
 
 class EllipticControlProblem:
@@ -86,12 +91,17 @@ class EllipticControlProblem:
         is not positive definite anywhere in the stack raises LinAlgError.
         The rows are C-contiguous, so a row's value under any reduction
         (wnorm in estimate_L) does not depend on the stack it came from.
+        At u = 0 (estimate_L's probe, every run's first step) the state is
+        exactly 0, so its solve is skipped: y - y_d is -y_d bit for bit.
         """
         xis = np.asarray(xi, dtype=float)
         stack = np.atleast_2d(xis)
         factor = fem.factor(self.mesh, stack,
                             out=self._factor_storage(len(stack)))
-        y = fem.solve_state(factor, self._full(u))
+        if np.any(u):
+            y = fem.solve_state(factor, self._full(u))
+        else:
+            y = np.zeros((len(stack), self.mesh.n_nodes))
         p = fem.solve_adjoint(factor, y, self.y_d)
         # np.take, unlike p[:, interior], gives a C-ordered block
         g = self.alpha * u + np.take(p, self.mesh.interior, axis=1)
@@ -184,16 +194,20 @@ def nonsmooth_value(problem, u: np.ndarray) -> float:
 class FrozenEvalSet:
     """A sample set drawn once and reused for every telemetry evaluation.
 
-    For the elliptic problem the samples' stiffnesses are assembled and
-    factored once, _CHUNK samples at a time (red-black elimination, then a
-    banded Cholesky factor of each black Schur complement), and only the
-    factors are kept, as one stack. Scoring a stack of iterates splits the
-    loads, the target and the weights by colour once, then costs one
-    multi-right-hand-side solve per sample, on its stack of one. The same
-    factors give the exact gradient of the mean smooth value, and with it the
-    exact optimum of the eval-set objective. The quadratic problem's smooth
-    value does not depend on the sample, so it draws no samples and scores
-    each iterate once.
+    For the elliptic problem no factor is kept between calls: the set holds
+    the samples and one chunk of factor storage. Each objective or
+    smooth_grad call assembles and factors the samples _CHUNK at a time
+    (red-black elimination, then a banded Cholesky factor of each black
+    Schur complement) into that storage, and is done with a chunk before it
+    factors the next. Scoring a stack of iterates splits the loads, the
+    target and the weights by colour once, then costs one
+    multi-right-hand-side solve per sample, on its stack of one, for up to
+    _COLUMNS iterates at a time. So a caller that scores every iterate of an
+    experiment in one objective call factors each sample once. optimum and
+    smooth_lipschitz factor every sample once per call and reuse those
+    factors for all their gradients. The quadratic problem's smooth value
+    does not depend on the sample, so it draws no samples and scores each
+    iterate once.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -203,18 +217,15 @@ class FrozenEvalSet:
         self.samples = []
         # No per-sample operators are kept; perfbench/child.py reads _ops.
         self._ops = None
-        self._factors = None
         if isinstance(problem, EllipticControlProblem):
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(seed)))
             self.samples = [problem.draw_sample(rng) for _ in range(n_samples)]
             mesh = problem.mesh
-            xis = np.array(self.samples)
-            self._factors = fem.RedBlackFactor.empty(mesh, n_samples)
-            for start in range(0, n_samples, _CHUNK):
-                chunk = slice(start, start + _CHUNK)
-                fem.factor(mesh, xis[chunk], out=self._factors[chunk])
-            rb = self._factors.ordering
+            # the one chunk of factor storage that every call factors into;
+            # the oracle's own storage (_work) would be overwritten by grad
+            self._chunk = fem.RedBlackFactor.empty(mesh, min(_CHUNK, n_samples))
+            rb = self._chunk.ordering
             y_d = problem.y_d[mesh.interior]
             # (nodes, target, weights) of the red and of the black nodes
             self._colours = [(idx, y_d[idx], problem.weights[idx])
@@ -225,65 +236,96 @@ class FrozenEvalSet:
             self._boundary_sq = wdot(y_d_b, y_d_b,
                                      problem.state_weights[mesh.boundary_mask])
 
+    def _factored_chunks(self, storage=None):
+        """The factors of the samples, _CHUNK at a time, in sample order:
+        each chunk factored into storage when it is given (one chunk's
+        RedBlackFactor.empty, which each chunk then overwrites), else into
+        new storage."""
+        xis = np.array(self.samples)
+        for start in range(0, len(xis), _CHUNK):
+            chunk = xis[start:start + _CHUNK]
+            yield fem.factor(self.problem.mesh, chunk,
+                             out=None if storage is None else storage[:len(chunk)])
+
     def objective(self, u: np.ndarray) -> float | np.ndarray:
         """Mean smooth value at u plus the L1 term at u.
 
         Accepts u of shape (dim,), returning a float, or a stack of iterates
         of shape (k, dim), returning k values; vectorized over the leading
-        axis. Every value equals the one a single-iterate call gives, bit for
-        bit: each sample's factor solves all k loads in one call, column by
-        column alike, and every reduction is row-wise (wdot_rows,
-        weighted_l1_rows).
+        axis. An elliptic call factors every sample once, whatever k is, so
+        a caller with many iterates scores them in one call. Every value
+        equals the one a single-iterate call gives, bit for bit: a sample's
+        factor solves the loads of many iterates column by column alike,
+        every reduction is row-wise (wdot_rows, weighted_l1_rows), and each
+        iterate sums its samples in sample order.
         """
         us = np.atleast_2d(u)
         prob = self.problem
-        w = prob.weights
-        if self._factors is not None:
-            # the lumped loads W u, one column per iterate, split by colour,
-            # each part the loads of a stack of one
-            loads = (w * us).T
-            parts = [np.ascontiguousarray(loads[idx])[None]
-                     for idx, _, _ in self._colours]
-            alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
-            smooth = np.zeros(len(us))
-            for factor in self._factors:
-                sq = 0.0
-                for x, (_, y_d, w_c) in zip(factor.solve(*parts), self._colours):
-                    r = np.subtract(x[0].T, y_d, order="C")
-                    sq = sq + wdot_rows(r, r, w_c)
-                smooth += 0.5 * (sq + self._boundary_sq) + alpha_terms
-            smooth /= len(self._factors)
+        if self.samples:
+            smooth = self._smooth_values(us)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
-        values = smooth + prob.beta * weighted_l1_rows(us, w)
+        values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
         return float(values[0]) if np.ndim(u) == 1 else values
 
-    def smooth_grad(self, u: np.ndarray,
-                    y_d: np.ndarray | None = None) -> np.ndarray:
-        """Exact gradient at u of the elliptic eval set's mean smooth value,
-        for the target y_d (defaults to the problem's): one state and one
-        adjoint solve per cached factor, _CHUNK factors at a time, summed in
-        sample order. No sample is assembled or factored again."""
+    def _smooth_values(self, us: np.ndarray) -> np.ndarray:
+        """The elliptic mean smooth value of each row of us, (k, dim)."""
+        prob = self.problem
+        w = prob.weights
+        alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
+        # the lumped loads W u, one column per iterate, split by colour into
+        # the loads of a stack of one, at most _COLUMNS iterates per block
+        loads = (w * us).T
+        blocks = [(slice(start, start + _COLUMNS),
+                   [np.ascontiguousarray(loads[idx, start:start + _COLUMNS])[None]
+                    for idx, _, _ in self._colours])
+                  for start in range(0, len(us), _COLUMNS)]
+        smooth = np.zeros(len(us))
+        for factors in self._factored_chunks(self._chunk):
+            for factor in factors:
+                for cols, block in blocks:
+                    sq = 0.0
+                    for x, (_, y_d, w_c) in zip(factor.solve(*block), self._colours):
+                        r = np.subtract(x[0].T, y_d, order="C")
+                        sq = sq + wdot_rows(r, r, w_c)
+                    smooth[cols] += 0.5 * (sq + self._boundary_sq) + alpha_terms[cols]
+        return smooth / len(self.samples)
+
+    def smooth_grad(self, u: np.ndarray) -> np.ndarray:
+        """Exact gradient at u of the elliptic eval set's mean smooth value;
+        factors every sample once."""
+        return self._smooth_grad(self._factored_chunks(self._chunk), u)
+
+    def _smooth_grad(self, chunks, u: np.ndarray,
+                     y_d: np.ndarray | None = None) -> np.ndarray:
+        """The gradient at u for the target y_d (defaults to the problem's)
+        from the samples' factors, given as chunks of at most _CHUNK: one
+        state and one adjoint solve per sample, a chunk at a time, summed
+        in sample order."""
         prob = self.problem
         u_full = prob._full(u)
         acc = np.zeros(prob.dim)
-        for start in range(0, len(self._factors), _CHUNK):
-            factors = self._factors[start:start + _CHUNK]
+        for factors in chunks:
             y = fem.solve_state(factors, u_full)
             for p in fem.solve_adjoint(factors, y, prob.y_d if y_d is None else y_d):
                 acc += p[prob.mesh.interior]
-        return prob.alpha * u + acc / len(self._factors)
+        return prob.alpha * u + acc / len(self.samples)
 
     def smooth_lipschitz(self) -> float:
-        """Lipschitz constant of smooth_grad in the W-norm: power iteration on
-        the gradient for a zero target, which is linear in u, with a 1% margin
-        because power iteration approaches the top eigenvalue from below."""
+        """Lipschitz constant of smooth_grad in the W-norm (see _lipschitz);
+        factors every sample once."""
+        return self._lipschitz(list(self._factored_chunks()))
+
+    def _lipschitz(self, chunks: list) -> float:
+        """Power iteration on the gradient for a zero target, which is linear
+        in u, with a 1% margin because power iteration approaches the top
+        eigenvalue from below."""
         w = self.problem.weights
         no_target = np.zeros(self.problem.mesh.n_nodes)
         v = np.ones(len(w)) / wnorm(np.ones(len(w)), w)
         L = 0.0
         for _ in range(100):
-            hv = self.smooth_grad(v, no_target)
+            hv = self._smooth_grad(chunks, v, no_target)
             L_prev, L = L, wdot(v, hv, w)
             v = hv / wnorm(hv, w)
             if abs(L - L_prev) <= 1e-10 * L:
@@ -291,9 +333,12 @@ class FrozenEvalSet:
         return 1.01 * L
 
     def optimum(self) -> ReferenceOptimum:
-        """The exact minimizer of the elliptic eval-set objective."""
-        return _prox_gradient(self.problem, self.smooth_grad,
-                              self.smooth_lipschitz(), self.objective)
+        """The exact minimizer of the elliptic eval-set objective. Every
+        sample is factored once, and that stack serves every gradient."""
+        chunks = list(self._factored_chunks())
+        return _prox_gradient(self.problem,
+                              lambda u: self._smooth_grad(chunks, u),
+                              self._lipschitz(chunks), self.objective)
 
 
 @dataclass

@@ -268,6 +268,63 @@ class TestFailedRuns:
         assert [u.shape for u in calls] == [(self.cfg.K, self.cfg.quad_dim)] * 4
 
 
+class TestEllipticScoringPass:
+    """Every elliptic run's iterates are scored after the last run, in one
+    objective call that factors each eval sample once."""
+
+    cfg = ExperimentConfig(problem="elliptic", mesh_h=2.0 ** -3, alpha=1e-3,
+                           beta=1e-3, K=4, runs=2, eval_samples=7,
+                           methods=("admm", "ssg"))
+
+    def test_one_call_matches_per_run_scoring(self, monkeypatch):
+        calls, factored = [], []
+        objective = FrozenEvalSet.objective
+        red_black_cholesky = harness.fem.red_black_cholesky
+
+        def count_rows(stencil, mesh, out=None):
+            factored.append(len(stencil))
+            return red_black_cholesky(stencil, mesh, out)
+
+        def scoring(self, u):
+            start = len(factored)
+            values = objective(self, u)
+            calls.append((u, sum(factored[start:])))
+            return values
+
+        monkeypatch.setattr(harness.fem, "red_black_cholesky", count_rows)
+        monkeypatch.setattr(FrozenEvalSet, "objective", scoring)
+        records = run_experiment(self.cfg)
+        monkeypatch.undo()
+        cfg = self.cfg
+        assert [(rec.method, r.k) for rec in records for r in rec.rows] == [
+            (m, k) for m in cfg.methods for _ in range(cfg.runs)
+            for k in range(1, cfg.K + 1)]
+        # one call, on every run's iterates in (method, run, k) order, and
+        # each eval sample factored once in it
+        (iterates, rows), = calls
+        assert iterates.shape == (len(records) * cfg.K, build_problem(cfg).dim)
+        assert rows == cfg.eval_samples
+        # the scores equal per-run scoring, bit for bit
+        eval_set = harness.build_eval_set(cfg, build_problem(cfg))
+        for i, rec in enumerate(records):
+            per_run = eval_set.objective(iterates[i * cfg.K:(i + 1) * cfg.K])
+            assert [r.objective for r in rec.rows] == per_run.tolist()
+
+    def test_failure_while_scoring_drops_every_run(self, monkeypatch, caplog):
+        def fail(self, u):
+            raise FloatingPointError("scoring failed")
+
+        monkeypatch.setattr(FrozenEvalSet, "objective", fail)
+        assert run_experiment(self.cfg) == []
+        failed = [r for r in caplog.records
+                  if r.getMessage().startswith("run failed")]
+        # perfbench/child.py reads (method, run index) from each record
+        assert [r.args for r in failed] == [
+            (m, i) for m in self.cfg.methods for i in range(self.cfg.runs)]
+        assert all(isinstance(r.exc_info[1], FloatingPointError)
+                   for r in failed)
+
+
 @pytest.fixture(scope="module")
 def records():
     return run_experiment(tiny_quadratic_cfg(methods=("admm", "spg"), runs=3))

@@ -181,6 +181,26 @@ class TestEllipticProblem:
         # one sample is a stack of one
         np.testing.assert_array_equal(prob.grad(u, xis[4]), grads[4])
 
+    def test_grad_at_zero_skips_the_state_solve_bit_for_bit(self, elliptic,
+                                                             monkeypatch):
+        # at u = 0 the state is exactly 0, so the oracle solves no state;
+        # the gradient must equal the one with the state solve
+        xis = elliptic.draw_samples(np.random.default_rng(13), 3)
+        u = np.zeros(elliptic.dim)
+        factor = fem.factor(elliptic.mesh, xis)
+        y = fem.solve_state(factor, elliptic._full(u))
+        p = fem.solve_adjoint(factor, y, elliptic.y_d)
+        expected = elliptic.alpha * u + p[:, elliptic.mesh.interior]
+        states = []
+        solve_state = fem.solve_state
+        monkeypatch.setattr(fem, "solve_state",
+                            lambda *a: states.append(a) or solve_state(*a))
+        np.testing.assert_array_equal(elliptic.grad(u, xis), expected)
+        np.testing.assert_array_equal(elliptic.grad(u, xis[0]), expected[0])
+        assert states == []
+        elliptic.grad(np.ones(elliptic.dim), xis)
+        assert len(states) == 1
+
     def test_averaged_grad_draws_like_sequential_samples(self, elliptic):
         rng1 = np.random.Generator(np.random.Philox(3))
         rng2 = np.random.Generator(np.random.Philox(3))
@@ -280,6 +300,27 @@ class TestObjectives:
         assert before == FrozenEvalSet(elliptic, n_samples, 0).objective(u)
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
+
+    def test_eval_set_holds_one_chunk_of_factors(self, elliptic):
+        # scoring and gradients stream the samples through one chunk of
+        # storage; only optimum and smooth_lipschitz keep every factor, and
+        # only while they run
+        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 1, 0)
+        u = np.linspace(-1.0, 1.0, elliptic.dim)
+        ev.objective(np.stack([u, -u]))
+        ev.smooth_grad(u)
+        ev.smooth_lipschitz()
+        kept = [v for v in vars(ev).values() if isinstance(v, fem.RedBlackFactor)]
+        assert [len(f) for f in kept] == [problems._CHUNK]
+
+    def test_iterates_beyond_one_column_block_score_alike(self, elliptic,
+                                                          monkeypatch):
+        # a sample solves at most _COLUMNS iterates at once; more are split
+        # into blocks without changing any value
+        ev = FrozenEvalSet(elliptic, 7, 0)
+        us = np.random.default_rng(14).uniform(-2.0, 2.0, size=(7, elliptic.dim))
+        monkeypatch.setattr(problems, "_COLUMNS", 3)
+        assert ev.objective(us).tolist() == [ev.objective(u) for u in us]
 
     def test_stacked_objective_matches_single_iterates(self, elliptic):
         rng = np.random.default_rng(11)
