@@ -12,21 +12,24 @@ bandwidth of the stiffness, by banded Cholesky.
 Assembly, factorization and solves work on stacks of coefficient samples,
 one sample being a stack of one: a stack's coefficient fields, stencil
 values, red pivots and Schur bands are formed by array operations over the
-whole stack, and only LAPACK's dpbtrf and dpbtrs run once per sample.
+whole stack, and only LAPACK's dpbtrf and dpbtrs run once per sample. They
+are called through ctypes, which releases the GIL, so threads factor and
+solve different stacks at once.
 State and adjoint loads use the lumped-mass weights, so the adjoint-based
 gradient is the exact gradient of the discrete tracking functional.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg import LinAlgError, cython_lapack
 
 from .hilbert import check_weights, wnorm
 
@@ -140,8 +143,9 @@ class RedBlackOrdering:
         self._indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(rows, minlength=n_red))]).astype(np.int32)
         self.shape = (n_red, n_black)
-        # block-diagonal coupling patterns by stack size (see _coupling)
-        self._patterns = {}
+        # each thread's block-diagonal coupling patterns by stack size (see
+        # _coupling)
+        self._local = threading.local()
 
         # S = D_b - E D_r^-1 E^T in upper band storage. Its terms are the
         # black pivots and, for each red node, the product of its couplings
@@ -180,11 +184,13 @@ class RedBlackOrdering:
         block-diagonal over the samples of a stack's scaled couplings
         (m, nnz).
 
-        The pattern of each stack size is built once; its data is the given
-        values, set before every product, so no factor builds a scipy array.
+        The pattern of each stack size is built once per thread; its data is
+        the given values, set before every product, so no factor builds a
+        scipy array, and no thread's products see another's values.
         """
         m = scaled.shape[0]
-        pattern = self._patterns.get(m)
+        patterns = self._local.__dict__.setdefault("patterns", {})
+        pattern = patterns.get(m)
         if pattern is None:
             (n_red, n_black), nnz = self.shape, self._indices.size
             blocks = np.arange(m)[:, None]
@@ -196,7 +202,7 @@ class RedBlackOrdering:
                                     shape=(m * n_red, m * n_black)),
                        sp.csc_array((data, indices, indptr),
                                     shape=(m * n_black, m * n_red)))
-            self._patterns[m] = pattern
+            patterns[m] = pattern
         pattern[0].data = pattern[1].data = scaled.reshape(-1)
         return pattern
 
@@ -256,15 +262,93 @@ class RedBlackFactor:
         product, and each column is bit-for-bit the one a single right-hand
         side, or a stack of one, gives."""
         eliminate, eliminate_t = self.ordering._coupling(self.scaled)
-        k = f_red.shape[-1]
-        t = f_black - (eliminate_t @ f_red.reshape(-1, k)).reshape(f_black.shape)
-        # LAPACK rejects an empty system
-        for i in range(len(self) if self.schur.shape[-1] else 0):
-            t[i], info = dpbtrs(self.schur[i], t[i], lower=0, overwrite_b=1)
-            _check_info(info, "dpbtrs", i)
+        (m, n_black, k), n_red = f_black.shape, f_red.shape[1]
+        # each sample's (n_black, k) block in the Fortran order dpbtrs solves
+        # in place
+        t = np.empty((m, k, n_black)).transpose(0, 2, 1)
+        np.subtract(f_black, (eliminate_t @ f_red.reshape(-1, k)).reshape(
+            f_black.shape), out=t)
+        dpbtrs(self.schur, t)
         x_red = f_red / self.red_diag[:, :, None] \
-            - (eliminate @ t.reshape(-1, k)).reshape(f_red.shape)
+            - (eliminate @ t.reshape(-1, k)).reshape(m, n_red, k)
         return x_red, t
+
+
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi))
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def _lapack(name: str, *argtypes) -> Callable:
+    """scipy's LAPACK routine name as a ctypes function of argtypes. A
+    ctypes call releases the GIL, which scipy.linalg.lapack's wrappers of
+    the same routines hold."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    address = _capsule_pointer(capsule, _capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_int_p, _array_p = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+# (uplo, n, kd, ab, ldab, info) and (uplo, n, kd, nrhs, ab, ldab, b, ldb,
+# info), every argument by reference
+_lapack_dpbtrf = _lapack("dpbtrf", ctypes.c_char_p, _int_p, _int_p, _array_p,
+                         _int_p, _int_p)
+_lapack_dpbtrs = _lapack("dpbtrs", ctypes.c_char_p, _int_p, _int_p, _int_p,
+                         _array_p, _int_p, _array_p, _int_p, _int_p)
+
+
+def _fortran_blocks(a: np.ndarray, name: str) -> tuple[int, int]:
+    """The address of a's first sample and the step to the next, after
+    checking that a, (m, rows, columns), is a writeable float64 stack whose
+    samples are each one Fortran-ordered block and do not overlap."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64
+            and a.ndim == 3 and a.flags.writeable):
+        raise ValueError(f"{name} must be a writeable float64 stack (m, rows, "
+                         "columns)")
+    if a.size and not (a[0].flags.f_contiguous and (
+            len(a) == 1 or abs(a.strides[0]) >= a[0].nbytes)):
+        raise ValueError(f"{name} must hold each sample as one Fortran-ordered "
+                         "block")
+    return a.ctypes.data, a.strides[0]
+
+
+def dpbtrf(bands: np.ndarray) -> None:
+    """Factor in place, by LAPACK dpbtrf, every band of a stack of SPD
+    matrices in upper band storage, bands (m, kd + 1, n), each sample a
+    Fortran-ordered block. Raises LinAlgError for the first sample that is
+    not positive definite."""
+    base, step = _fortran_blocks(bands, "bands")
+    m, rows, n = bands.shape
+    info = ctypes.c_int()
+    n_, kd, ldab, info_ = (ctypes.byref(ctypes.c_int(n)),
+                           ctypes.byref(ctypes.c_int(rows - 1)),
+                           ctypes.byref(ctypes.c_int(rows)), ctypes.byref(info))
+    # LAPACK rejects an empty system
+    for i in range(m if n else 0):
+        _lapack_dpbtrf(b"U", n_, kd, base + i * step, ldab, info_)
+        _check_info(info.value, "dpbtrf", i)
+
+
+def dpbtrs(bands: np.ndarray, b: np.ndarray) -> None:
+    """Solve in place, by LAPACK dpbtrs, each sample's system with k
+    right-hand sides, b (m, n, k), given dpbtrf's factors of a stack, bands
+    (m, kd + 1, n); both hold each sample as a Fortran-ordered block."""
+    base, step = _fortran_blocks(bands, "bands")
+    b_base, b_step = _fortran_blocks(b, "b")
+    m, rows, n = bands.shape
+    if b.shape[:2] != (m, n):
+        raise ValueError(f"b {b.shape} does not match the bands {bands.shape}")
+    info = ctypes.c_int()
+    n_, kd, nrhs, ldab, info_ = (
+        ctypes.byref(ctypes.c_int(n)), ctypes.byref(ctypes.c_int(rows - 1)),
+        ctypes.byref(ctypes.c_int(b.shape[2])),
+        ctypes.byref(ctypes.c_int(rows)), ctypes.byref(info))
+    for i in range(m if n else 0):
+        _lapack_dpbtrs(b"U", n_, kd, nrhs, base + i * step, ldab,
+                       b_base + i * b_step, n_, info_)
+        _check_info(info.value, "dpbtrs", i)
 
 
 def _check_info(info: int, routine: str, sample: int) -> None:
@@ -326,9 +410,7 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     bands = factor.schur.transpose(0, 2, 1).reshape(m, -1)
     bands[...] = 0.0
     bands[:, rb._schur_entries] = entries.T
-    for i in range(m if n_black else 0):
-        _, info = dpbtrf(factor.schur[i], lower=0, overwrite_ab=1)
-        _check_info(info, "dpbtrf", i)
+    dpbtrf(factor.schur)
     return factor
 
 

@@ -8,6 +8,12 @@ gradient noise and a computable reference optimum.
 
 from __future__ import annotations
 
+import itertools
+import os
+import queue
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,78 @@ _CHUNK = 6
 # which bounds the working memory of scoring every iterate of an experiment
 # in one call (BENCH_stream_eval.json).
 _COLUMNS = 64
+
+
+def _lane_count() -> int:
+    """The CPUs this process may run on: an eval-set pass runs one lane on
+    each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Lanes:
+    """The lanes of one or more passes over the eval samples' chunks: one
+    lane per CPU (_lane_count), but no more lanes than chunks. The calling
+    thread is the first lane and the others are helper threads, so one lane
+    starts no thread. A pass (map) yields the lanes' results in chunk order,
+    so what the caller adds up does not depend on the lane count. A lane
+    factors a chunk into chunk storage it borrows (factored): the set's own
+    chunk, or storage allocated for the lanes' lifetime, one chunk per lane
+    at most. Use as a context manager, whose exit joins the helper threads.
+    """
+
+    def __init__(self, storage: fem.RedBlackFactor, n_chunks: int):
+        self.count = max(1, min(_lane_count(), n_chunks))
+        self._free = queue.SimpleQueue()
+        self._free.put(storage)
+        self._mesh, self._size = storage.mesh, len(storage)
+        self._helpers = (ThreadPoolExecutor(self.count - 1)
+                         if self.count > 1 else None)
+
+    def __enter__(self) -> "_Lanes":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._helpers is not None:
+            self._helpers.shutdown(wait=True, cancel_futures=True)
+
+    @contextmanager
+    def factored(self, chunk: np.ndarray):
+        """The factors of a chunk of samples, in chunk storage that the
+        calling lane holds until the block ends."""
+        try:
+            storage = self._free.get_nowait()
+        except queue.Empty:
+            storage = fem.RedBlackFactor.empty(self._mesh, self._size)
+        try:
+            yield fem.factor(self._mesh, chunk, out=storage[:len(chunk)])
+        finally:
+            self._free.put(storage)
+
+    def map(self, work, chunks):
+        """work(chunk) for each chunk, in chunk order. At most two chunks per
+        lane are handed out ahead of the one the caller waits for; while a
+        helper works on that one, the calling thread takes the oldest chunk
+        no helper has started. A helper's exception is raised here."""
+        if self._helpers is None:
+            yield from map(work, chunks)
+            return
+        chunks = iter(chunks)
+        pending = deque()  # [future, chunk] in chunk order
+        while True:
+            for chunk in itertools.islice(chunks, 2 * self.count - len(pending)):
+                pending.append([self._helpers.submit(work, chunk), chunk])
+            if not pending:
+                return
+            while not pending[0][0].done():
+                idle = next((entry for entry in pending if entry[0].cancel()),
+                            None)
+                if idle is None:
+                    break
+                idle[0] = Future()
+                idle[0].set_result(work(idle[1]))
+            yield pending.popleft()[0].result()
 
 
 class EllipticControlProblem:
@@ -198,9 +276,9 @@ class FrozenEvalSet:
     the samples and one chunk of factor storage. Each objective or
     smooth_grad call assembles and factors the samples _CHUNK at a time
     (red-black elimination, then a banded Cholesky factor of each black
-    Schur complement) into that storage, and is done with a chunk before it
-    factors the next. Scoring a stack of iterates splits the loads, the
-    target and the weights by colour once, then costs one
+    Schur complement) into chunk storage, and a lane is done with a chunk
+    before it factors the next. Scoring a stack of iterates splits the
+    loads, the target and the weights by colour once, then costs one
     multi-right-hand-side solve per sample, on its stack of one, for up to
     _COLUMNS iterates at a time. So a caller that scores every iterate of an
     experiment in one objective call factors each sample once. optimum and
@@ -208,6 +286,14 @@ class FrozenEvalSet:
     factors for all their gradients. The quadratic problem's smooth value
     does not depend on the sample, so it draws no samples and scores each
     iterate once.
+
+    Every pass over the samples runs one lane per CPU the process may use
+    (os.sched_getaffinity): the calling thread, and one helper thread for
+    each further CPU, each lane factoring and solving whole chunks with BLAS
+    at one thread per call. A helper lane borrows its own chunk of storage
+    for the call only. The lanes' results come back in sample order and are
+    added in it, so every value is the same, bit for bit, whatever the
+    number of lanes.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -236,16 +322,13 @@ class FrozenEvalSet:
             self._boundary_sq = wdot(y_d_b, y_d_b,
                                      problem.state_weights[mesh.boundary_mask])
 
-    def _factored_chunks(self, storage=None):
-        """The factors of the samples, _CHUNK at a time, in sample order:
-        each chunk factored into storage when it is given (one chunk's
-        RedBlackFactor.empty, which each chunk then overwrites), else into
-        new storage."""
+    def _sample_chunks(self) -> list:
+        """The samples, _CHUNK at a time, in sample order."""
         xis = np.array(self.samples)
-        for start in range(0, len(xis), _CHUNK):
-            chunk = xis[start:start + _CHUNK]
-            yield fem.factor(self.problem.mesh, chunk,
-                             out=None if storage is None else storage[:len(chunk)])
+        return [xis[start:start + _CHUNK] for start in range(0, len(xis), _CHUNK)]
+
+    def _lanes(self) -> _Lanes:
+        return _Lanes(self._chunk, -(-len(self.samples) // _CHUNK))
 
     def objective(self, u: np.ndarray) -> float | np.ndarray:
         """Mean smooth value at u plus the L1 term at u.
@@ -262,13 +345,14 @@ class FrozenEvalSet:
         us = np.atleast_2d(u)
         prob = self.problem
         if self.samples:
-            smooth = self._smooth_values(us)
+            with self._lanes() as lanes:
+                smooth = self._smooth_values(lanes, us)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
         values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
         return float(values[0]) if np.ndim(u) == 1 else values
 
-    def _smooth_values(self, us: np.ndarray) -> np.ndarray:
+    def _smooth_values(self, lanes: _Lanes, us: np.ndarray) -> np.ndarray:
         """The elliptic mean smooth value of each row of us, (k, dim)."""
         prob = self.problem
         w = prob.weights
@@ -280,43 +364,73 @@ class FrozenEvalSet:
                    [np.ascontiguousarray(loads[idx, start:start + _COLUMNS])[None]
                     for idx, _, _ in self._colours])
                   for start in range(0, len(us), _COLUMNS)]
+
+        def terms(chunk: np.ndarray) -> np.ndarray:
+            """Each sample's term of every iterate's value, (len(chunk), k)."""
+            out = np.empty((len(chunk), len(us)))
+            with lanes.factored(chunk) as factors:
+                for row, factor in zip(out, factors):
+                    for cols, block in blocks:
+                        sq = 0.0
+                        for x, (_, y_d, w_c) in zip(factor.solve(*block),
+                                                    self._colours):
+                            r = np.subtract(x[0].T, y_d, order="C")
+                            sq = sq + wdot_rows(r, r, w_c)
+                        row[cols] = 0.5 * (sq + self._boundary_sq) + alpha_terms[cols]
+            return out
+
         smooth = np.zeros(len(us))
-        for factors in self._factored_chunks(self._chunk):
-            for factor in factors:
-                for cols, block in blocks:
-                    sq = 0.0
-                    for x, (_, y_d, w_c) in zip(factor.solve(*block), self._colours):
-                        r = np.subtract(x[0].T, y_d, order="C")
-                        sq = sq + wdot_rows(r, r, w_c)
-                    smooth[cols] += 0.5 * (sq + self._boundary_sq) + alpha_terms[cols]
+        for rows in lanes.map(terms, self._sample_chunks()):
+            for row in rows:
+                smooth += row
         return smooth / len(self.samples)
 
     def smooth_grad(self, u: np.ndarray) -> np.ndarray:
         """Exact gradient at u of the elliptic eval set's mean smooth value;
         factors every sample once."""
-        return self._smooth_grad(self._factored_chunks(self._chunk), u)
+        with self._lanes() as lanes:
+            return self._smooth_grad(lanes, u)
 
-    def _smooth_grad(self, chunks, u: np.ndarray,
-                     y_d: np.ndarray | None = None) -> np.ndarray:
-        """The gradient at u for the target y_d (defaults to the problem's)
-        from the samples' factors, given as chunks of at most _CHUNK: one
-        state and one adjoint solve per sample, a chunk at a time, summed
-        in sample order."""
+    def _smooth_grad(self, lanes: _Lanes, u: np.ndarray,
+                     y_d: np.ndarray | None = None,
+                     factored: list | None = None) -> np.ndarray:
+        """The gradient at u for the target y_d (defaults to the problem's):
+        one state and one adjoint solve per sample, a chunk at a time,
+        summed in sample order. Each lane factors its chunks into its
+        storage, unless the factors of every chunk are given (factored, from
+        _factor_all)."""
         prob = self.problem
         u_full = prob._full(u)
+        target = prob.y_d if y_d is None else y_d
+
+        def adjoints(factors: fem.RedBlackFactor) -> np.ndarray:
+            p = fem.solve_adjoint(factors, fem.solve_state(factors, u_full), target)
+            return np.take(p, prob.mesh.interior, axis=1)
+
+        def streamed(chunk: np.ndarray) -> np.ndarray:
+            with lanes.factored(chunk) as factors:
+                return adjoints(factors)
+
         acc = np.zeros(prob.dim)
-        for factors in chunks:
-            y = fem.solve_state(factors, u_full)
-            for p in fem.solve_adjoint(factors, y, prob.y_d if y_d is None else y_d):
-                acc += p[prob.mesh.interior]
+        for rows in (lanes.map(streamed, self._sample_chunks()) if factored is None
+                     else lanes.map(adjoints, factored)):
+            for p in rows:
+                acc += p
         return prob.alpha * u + acc / len(self.samples)
+
+    def _factor_all(self, lanes: _Lanes) -> list:
+        """The factors of every sample, chunk by chunk, in new storage."""
+        mesh = self.problem.mesh
+        return list(lanes.map(lambda chunk: fem.factor(mesh, chunk),
+                              self._sample_chunks()))
 
     def smooth_lipschitz(self) -> float:
         """Lipschitz constant of smooth_grad in the W-norm (see _lipschitz);
         factors every sample once."""
-        return self._lipschitz(list(self._factored_chunks()))
+        with self._lanes() as lanes:
+            return self._lipschitz(lanes, self._factor_all(lanes))
 
-    def _lipschitz(self, chunks: list) -> float:
+    def _lipschitz(self, lanes: _Lanes, factored: list) -> float:
         """Power iteration on the gradient for a zero target, which is linear
         in u, with a 1% margin because power iteration approaches the top
         eigenvalue from below."""
@@ -325,7 +439,7 @@ class FrozenEvalSet:
         v = np.ones(len(w)) / wnorm(np.ones(len(w)), w)
         L = 0.0
         for _ in range(100):
-            hv = self._smooth_grad(chunks, v, no_target)
+            hv = self._smooth_grad(lanes, v, no_target, factored)
             L_prev, L = L, wdot(v, hv, w)
             v = hv / wnorm(hv, w)
             if abs(L - L_prev) <= 1e-10 * L:
@@ -335,10 +449,12 @@ class FrozenEvalSet:
     def optimum(self) -> ReferenceOptimum:
         """The exact minimizer of the elliptic eval-set objective. Every
         sample is factored once, and that stack serves every gradient."""
-        chunks = list(self._factored_chunks())
-        return _prox_gradient(self.problem,
-                              lambda u: self._smooth_grad(chunks, u),
-                              self._lipschitz(chunks), self.objective)
+        with self._lanes() as lanes:
+            factored = self._factor_all(lanes)
+            return _prox_gradient(
+                self.problem,
+                lambda u: self._smooth_grad(lanes, u, factored=factored),
+                self._lipschitz(lanes, factored), self.objective)
 
 
 @dataclass

@@ -3,6 +3,9 @@
 One banded Cholesky factorization at h = 2^-5 is too small to share: on a
 2-core machine it takes 0.29-0.45 ms on one thread and 1.4 ms on two, which
 is OpenBLAS's default there. A setting already in the environment is kept.
+BLAS stays at one thread per call; the frozen eval set's passes still run
+one lane per CPU (see sadmm.problems.FrozenEvalSet), and no result depends
+on the lane count.
 """
 
 import os

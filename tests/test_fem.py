@@ -1,7 +1,11 @@
 """P1 assembly and PDE solves checked against hand-computable oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack as reference_lapack
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError
 from scipy.sparse.linalg import spsolve
@@ -290,6 +294,75 @@ class TestSolves:
         stencil[0, pivot(mesh4, 1)] = -1.0
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.red_black_cholesky(stencil, mesh4)
+
+    def test_lapack_binding_matches_scipy(self, monkeypatch):
+        # the Schur complements of h = 2^-5 before dpbtrf, factored and
+        # solved with 1 and 40 right-hand sides: the same bits as scipy's
+        # f2py wrappers of the same routines
+        mesh = fem.build_mesh(2.0 ** -5)
+        rng = np.random.default_rng(18)
+        with monkeypatch.context() as m:
+            m.setattr(fem, "dpbtrf", lambda bands: None)
+            bands = fem.factor(mesh, rng.uniform(-1, 1, size=(3, 4))).schur
+        expected = [reference_lapack.dpbtrf(band, lower=0) for band in bands]
+        fem.dpbtrf(bands)
+        for band, (factor, info) in zip(bands, expected):
+            assert info == 0
+            np.testing.assert_array_equal(band, factor)
+        for k in (1, 40):
+            rhs = rng.standard_normal((3, bands.shape[2], k))
+            x = np.empty((3, k, bands.shape[2])).transpose(0, 2, 1)
+            x[...] = rhs
+            fem.dpbtrs(bands, x)
+            for i, band in enumerate(bands):
+                want, info = reference_lapack.dpbtrs(band, rhs[i], lower=0)
+                assert info == 0
+                np.testing.assert_array_equal(x[i], want)
+
+    def test_lapack_binding_checks_layout(self, factor4):
+        # LAPACK reads raw memory: a C-ordered block, a read-only array or
+        # another dtype must be refused before any call
+        bands = factor4.schur.copy()
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            fem.dpbtrs(bands, np.zeros((1, bands.shape[2], 3)))
+        with pytest.raises(ValueError, match="writeable float64"):
+            fem.dpbtrf(bands.astype(np.float32))
+        bands.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable float64"):
+            fem.dpbtrf(bands)
+        with pytest.raises(ValueError, match="does not match"):
+            fem.dpbtrs(factor4.schur, np.zeros((2, factor4.schur.shape[2], 1)))
+
+    def test_threads_solving_at_once_match_serial_bits(self):
+        # the stacks share one size, hence one coupling pattern per thread;
+        # a thread reading another's couplings would change its bits
+        mesh = fem.build_mesh(2.0 ** -3)
+        rng = np.random.default_rng(19)
+        cases = []
+        for _ in range(4):
+            factor = fem.factor(mesh, rng.uniform(-1, 1, size=(3, 4)))
+            rhs = rng.standard_normal((3, mesh.interior.size, 2))
+            cases.append((factor, rhs, fem.band_solve(factor, rhs)))
+        wrong = []
+
+        def solve_many(factor, rhs, expected):
+            for _ in range(500):
+                if not np.array_equal(fem.band_solve(factor, rhs), expected):
+                    wrong.append(1)
+
+        threads = [threading.Thread(target=solve_many, args=case)
+                   for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
 
     def test_mesh_coupling_one_colour_is_rejected(self, mesh4):
         # moving the centre node off the grid takes the right angle from its

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
-from sadmm import harness
+from sadmm import harness, problems
 from sadmm.harness import (CSV_HEADER, ConfigError, ExperimentConfig, RunRow,
                            build_problem, emit_csv, envelope, fem_verify,
                            fit_loglog_slope, fit_rate_slope, grad_check,
@@ -17,6 +18,7 @@ from sadmm.optim import NumericalFailure
 from sadmm.problems import (EllipticControlProblem, FrozenEvalSet,
                             QuadraticProblem)
 from sadmm.svgplot import emit_svg
+from test_problems import fail_in_helper_lanes
 
 
 def tiny_quadratic_cfg(**overrides):
@@ -316,13 +318,22 @@ class TestEllipticScoringPass:
 
         monkeypatch.setattr(FrozenEvalSet, "objective", fail)
         assert run_experiment(self.cfg) == []
+        self.check_every_run_failed(caplog, FloatingPointError)
+
+    def test_failure_in_a_helper_lane_drops_every_run(self, monkeypatch,
+                                                      caplog):
+        monkeypatch.setattr(problems, "_lane_count", lambda: 2)
+        fail_in_helper_lanes(monkeypatch)
+        assert run_experiment(self.cfg) == []
+        self.check_every_run_failed(caplog, LinAlgError)
+
+    def check_every_run_failed(self, caplog, error):
         failed = [r for r in caplog.records
                   if r.getMessage().startswith("run failed")]
         # perfbench/child.py reads (method, run index) from each record
         assert [r.args for r in failed] == [
             (m, i) for m in self.cfg.methods for i in range(self.cfg.runs)]
-        assert all(isinstance(r.exc_info[1], FloatingPointError)
-                   for r in failed)
+        assert all(isinstance(r.exc_info[1], error) for r in failed)
 
 
 @pytest.fixture(scope="module")

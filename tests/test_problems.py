@@ -1,5 +1,7 @@
 """Oracle contracts: unbiasedness, adjoint gradients, reference optima."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError
@@ -22,6 +24,25 @@ def empirical_objective(problem, u, samples):
         raise ValueError("sample list must be nonempty")
     mean = sum(problem.smooth_value(u, s) for s in samples) / len(samples)
     return mean + nonsmooth_value(problem, u)
+
+
+def fail_in_helper_lanes(monkeypatch):
+    """Make fem.factor raise LinAlgError in every thread but the calling one.
+    While a helper thread is alive, the calling thread's own factor calls
+    first wait (10 s at most) for a helper to fail, so that a helper is sure
+    to meet a chunk."""
+    factor, failed = fem.factor, threading.Event()
+    caller, threads = threading.current_thread(), threading.active_count()
+
+    def factor_or_fail(*args, **kwargs):
+        if threading.current_thread() is not caller:
+            failed.set()
+            raise LinAlgError("a helper lane failed")
+        if threading.active_count() > threads:
+            failed.wait(timeout=10)
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "factor", factor_or_fail)
 
 
 def make_quadratic(dim=10, alpha=0.5, beta=0.2, sigma=0.3, seed=0):
@@ -334,6 +355,40 @@ class TestObjectives:
         prob = make_quadratic(beta=1.0, sigma=0.0)
         with pytest.raises(ValueError, match="eval_samples"):
             FrozenEvalSet(prob, 0, 0)
+
+
+class TestEvalLanes:
+    """Every pass over the eval samples runs one lane per CPU; no value
+    depends on the lane count, and no helper thread outlives its call."""
+
+    def test_values_do_not_depend_on_lane_count(self, elliptic, monkeypatch):
+        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)  # 3 chunks
+        us = np.random.default_rng(20).uniform(-2.0, 2.0, size=(5, elliptic.dim))
+        calls = (lambda: ev.objective(us), lambda: ev.smooth_grad(us[0]),
+                 lambda: ev.smooth_lipschitz(), lambda: ev.optimum().u)
+        by_lanes = []
+        for lanes in (1, 2, 3):
+            monkeypatch.setattr(problems, "_lane_count", lambda: lanes)
+            threads = threading.active_count()
+            values = []
+            for call in calls:
+                values.append(call())
+                assert threading.active_count() == threads
+            by_lanes.append(values)
+        for values in by_lanes[1:]:
+            for got, want in zip(values, by_lanes[0]):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("call", ["objective", "smooth_grad"])
+    def test_helper_lane_error_reaches_caller(self, elliptic, monkeypatch,
+                                              call):
+        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
+        monkeypatch.setattr(problems, "_lane_count", lambda: 2)
+        threads = threading.active_count()
+        fail_in_helper_lanes(monkeypatch)
+        with pytest.raises(LinAlgError, match="a helper lane failed"):
+            getattr(ev, call)(np.ones(elliptic.dim))
+        assert threading.active_count() == threads
 
 
 class TestReferenceOptimum:
