@@ -82,6 +82,9 @@ def cmd_sparsity_table(args) -> int:
 
 def cmd_envelope(args) -> int:
     cfg = _load_config(args)
+    if cfg.runs < 2:
+        raise ConfigError(f"the envelope of runs needs runs >= 2, "
+                          f"got runs={cfg.runs}")
     if len(cfg.methods) != 1:
         cfg = replace(cfg, methods=("admm",))
     out = _out_dir(cfg)

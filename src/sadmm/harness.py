@@ -298,7 +298,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
                 logger.exception("run failed: method=%s run=%d", method, run_idx)
                 continue
             pending.append((run_idx, rec, iterates))
-            if not eval_set.samples:
+            if len(eval_set.samples) == 0:
                 score()
     if pending:
         score()
@@ -466,7 +466,7 @@ def grad_check(seed: int = 0) -> CheckReport:
     fd_step = 1e-4
     details = []
     for i in range(3):
-        xi = problem.draw_sample(rng)
+        xi = problem.draw_samples(rng, 1)[0]
         u = rng.uniform(-2.0, 2.0, size=problem.dim)
         d = rng.standard_normal(problem.dim)
         d /= wnorm(d, w)

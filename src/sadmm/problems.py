@@ -8,11 +8,10 @@ gradient noise and a computable reference optimum.
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -41,68 +40,28 @@ def _lane_count() -> int:
     return os.cpu_count() or 1
 
 
-class _Lanes:
-    """The lanes of one or more passes over the eval samples' chunks: one
-    lane per CPU (_lane_count), but no more lanes than chunks. The calling
-    thread is the first lane and the others are helper threads, so one lane
-    starts no thread. A pass (map) yields the lanes' results in chunk order,
-    so what the caller adds up does not depend on the lane count. A lane
-    factors a chunk into chunk storage it borrows (factored): the set's own
-    chunk, or storage allocated for the lanes' lifetime, one chunk per lane
-    at most. Use as a context manager, whose exit joins the helper threads.
-    """
+def _chunks(xis: np.ndarray) -> list:
+    """The stack of samples xis, _CHUNK at a time, in sample order."""
+    return [xis[start:start + _CHUNK] for start in range(0, len(xis), _CHUNK)]
 
-    def __init__(self, storage: fem.RedBlackFactor, n_chunks: int):
-        self.count = max(1, min(_lane_count(), n_chunks))
-        self._free = queue.SimpleQueue()
-        self._free.put(storage)
-        self._mesh, self._size = storage.mesh, len(storage)
-        self._helpers = (ThreadPoolExecutor(self.count - 1)
-                         if self.count > 1 else None)
 
-    def __enter__(self) -> "_Lanes":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._helpers is not None:
-            self._helpers.shutdown(wait=True, cancel_futures=True)
-
-    @contextmanager
-    def factored(self, chunk: np.ndarray):
-        """The factors of a chunk of samples, in chunk storage that the
-        calling lane holds until the block ends."""
-        try:
-            storage = self._free.get_nowait()
-        except queue.Empty:
-            storage = fem.RedBlackFactor.empty(self._mesh, self._size)
-        try:
-            yield fem.factor(self._mesh, chunk, out=storage[:len(chunk)])
-        finally:
-            self._free.put(storage)
-
-    def map(self, work, chunks):
-        """work(chunk) for each chunk, in chunk order. At most two chunks per
-        lane are handed out ahead of the one the caller waits for; while a
-        helper works on that one, the calling thread takes the oldest chunk
-        no helper has started. A helper's exception is raised here."""
-        if self._helpers is None:
-            yield from map(work, chunks)
-            return
-        chunks = iter(chunks)
-        pending = deque()  # [future, chunk] in chunk order
-        while True:
-            for chunk in itertools.islice(chunks, 2 * self.count - len(pending)):
-                pending.append([self._helpers.submit(work, chunk), chunk])
-            if not pending:
-                return
-            while not pending[0][0].done():
-                idle = next((entry for entry in pending if entry[0].cancel()),
-                            None)
-                if idle is None:
-                    break
-                idle[0] = Future()
-                idle[0].set_result(work(idle[1]))
-            yield pending.popleft()[0].result()
+def _in_order(work, items: list):
+    """work(item) for each item, in item order, on one lane per CPU
+    (_lane_count) but no more lanes than items. One lane runs on the calling
+    thread and starts no thread; more lanes are the threads of a pool while
+    the caller waits for each result in turn. A lane's exception is raised
+    here, and every lane has stopped when the pass ends."""
+    lanes = min(_lane_count(), len(items))
+    if lanes <= 1:
+        yield from map(work, items)
+        return
+    pool = ThreadPoolExecutor(lanes)
+    try:
+        pending = deque(pool.submit(work, item) for item in items)
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 class EllipticControlProblem:
@@ -118,7 +77,12 @@ class EllipticControlProblem:
     dofs would be frozen spectators and are dropped from the control space.
 
     Every state and adjoint equation is solved directly, by a red-black
-    banded Cholesky factorization of the sample's stiffness (see fem).
+    banded Cholesky factorization of the sample's stiffness (see fem). The
+    oracle (grad) and every pass of a FrozenEvalSet factor their stacks in
+    factored: into storage for _CHUNK samples borrowed from the problem's
+    one free list, which a caller holds alone until its block ends. The
+    list grows to as many chunks as were ever held at once: at most one per
+    lane.
     """
 
     def __init__(self, mesh: fem.StructuredMesh, alpha: float, beta: float,
@@ -138,9 +102,8 @@ class EllipticControlProblem:
         self.y_d = fem.checkerboard_target(mesh) if y_d is None else np.asarray(y_d, float)
         if self.y_d.shape != (mesh.n_nodes,):
             raise ValueError("y_d does not match the mesh")
-        # factor storage for a stack of up to _CHUNK oracle samples, reused
-        # by every grad call so that no chunk allocates it afresh
-        self._work = None
+        # the free list of factor storage for _CHUNK samples (see factored)
+        self._free = queue.SimpleQueue()
 
     @property
     def dim(self) -> int:
@@ -152,13 +115,29 @@ class EllipticControlProblem:
         full[self.mesh.interior] = u
         return full
 
-    def draw_sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-1.0, 1.0, size=4)
-
     def draw_samples(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        """m samples, (m, 4): the same values and generator state as m
-        draw_sample calls."""
+        """m samples, (m, 4), uniform on [-1, 1]^4; m draws of one sample
+        give the same values and generator state."""
         return rng.uniform(-1.0, 1.0, size=(m, 4))
+
+    @contextmanager
+    def factored(self, xis: np.ndarray):
+        """The factors of a stack of samples xis (m, 4), in factor storage
+        that the caller holds until the block ends. The storage of _CHUNK
+        samples is borrowed from the problem's free list, or allocated when
+        every one is held; a stack of more than _CHUNK samples gets storage
+        of its own."""
+        if len(xis) > _CHUNK:
+            yield fem.factor(self.mesh, xis)
+            return
+        try:
+            storage = self._free.get_nowait()
+        except queue.Empty:
+            storage = fem.RedBlackFactor.empty(self.mesh, _CHUNK)
+        try:
+            yield fem.factor(self.mesh, xis, out=storage[:len(xis)])
+        finally:
+            self._free.put(storage)
 
     def grad(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Per-sample gradient alpha*u + p via the adjoint solve, for one
@@ -174,31 +153,21 @@ class EllipticControlProblem:
         """
         xis = np.asarray(xi, dtype=float)
         stack = np.atleast_2d(xis)
-        factor = fem.factor(self.mesh, stack,
-                            out=self._factor_storage(len(stack)))
-        if np.any(u):
-            y = fem.solve_state(factor, self._full(u))
-        else:
-            y = np.zeros((len(stack), self.mesh.n_nodes))
-        p = fem.solve_adjoint(factor, y, self.y_d)
+        with self.factored(stack) as factor:
+            if np.any(u):
+                y = fem.solve_state(factor, self._full(u))
+            else:
+                y = np.zeros((len(stack), self.mesh.n_nodes))
+            p = fem.solve_adjoint(factor, y, self.y_d)
         # np.take, unlike p[:, interior], gives a C-ordered block
         g = self.alpha * u + np.take(p, self.mesh.interior, axis=1)
         return g.reshape(xis.shape[:-1] + g.shape[-1:])
 
-    def _factor_storage(self, m: int) -> fem.RedBlackFactor | None:
-        """The reused factor storage for a stack of m <= _CHUNK samples; a
-        larger stack gets new storage."""
-        if m > _CHUNK:
-            return None
-        if self._work is None:
-            self._work = fem.RedBlackFactor.empty(self.mesh, _CHUNK)
-        return self._work[:m]
-
     def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
         """The per-sample gradients at u of n fresh samples, in draw order,
-        computed _CHUNK samples at a time."""
-        for start in range(0, n, _CHUNK):
-            yield from self.grad(u, self.draw_samples(rng, min(_CHUNK, n - start)))
+        computed _CHUNK samples at a time on the calling thread."""
+        for xis in _chunks(self.draw_samples(rng, n)):
+            yield from self.grad(u, xis)
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
         y = fem.solve_state(fem.factor(self.mesh, xi), self._full(u))[0]
@@ -272,28 +241,27 @@ def nonsmooth_value(problem, u: np.ndarray) -> float:
 class FrozenEvalSet:
     """A sample set drawn once and reused for every telemetry evaluation.
 
-    For the elliptic problem no factor is kept between calls: the set holds
-    the samples and one chunk of factor storage. Each objective or
-    smooth_grad call assembles and factors the samples _CHUNK at a time
-    (red-black elimination, then a banded Cholesky factor of each black
-    Schur complement) into chunk storage, and a lane is done with a chunk
-    before it factors the next. Scoring a stack of iterates splits the
-    loads, the target and the weights by colour once, then costs one
-    multi-right-hand-side solve per sample, on its stack of one, for up to
-    _COLUMNS iterates at a time. So a caller that scores every iterate of an
-    experiment in one objective call factors each sample once. optimum and
-    smooth_lipschitz factor every sample once per call and reuse those
-    factors for all their gradients. The quadratic problem's smooth value
-    does not depend on the sample, so it draws no samples and scores each
-    iterate once.
+    For the elliptic problem the set holds its samples, (n, 4), and no
+    factor or factor storage. Each objective or smooth_grad call assembles
+    and factors the samples _CHUNK at a time (red-black elimination, then a
+    banded Cholesky factor of each black Schur complement) into chunk
+    storage borrowed from the problem (EllipticControlProblem.factored), and
+    a lane is done with a chunk before it factors the next. Scoring a stack
+    of iterates splits the loads, the target and the weights by colour once,
+    then costs one multi-right-hand-side solve per sample, on its stack of
+    one, for up to _COLUMNS iterates at a time. So a caller that scores
+    every iterate of an experiment in one objective call factors each sample
+    once. optimum and smooth_lipschitz factor every sample once per call
+    into storage of their own and reuse those factors for all their
+    gradients. The quadratic problem's smooth value does not depend on the
+    sample, so it draws no samples and scores each iterate once.
 
-    Every pass over the samples runs one lane per CPU the process may use
-    (os.sched_getaffinity): the calling thread, and one helper thread for
-    each further CPU, each lane factoring and solving whole chunks with BLAS
-    at one thread per call. A helper lane borrows its own chunk of storage
-    for the call only. The lanes' results come back in sample order and are
-    added in it, so every value is the same, bit for bit, whatever the
-    number of lanes.
+    Every pass over the samples (_in_order) runs one lane per CPU the
+    process may use (os.sched_getaffinity), each lane factoring and solving
+    whole chunks with BLAS at one thread per call. With more than one lane
+    the lanes are pool threads and the calling thread waits for their
+    results. The results come back in sample order and are added in it, so
+    every value is the same, bit for bit, whatever the number of lanes.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -306,12 +274,9 @@ class FrozenEvalSet:
         if isinstance(problem, EllipticControlProblem):
             rng = np.random.Generator(
                 np.random.Philox(np.random.SeedSequence(seed)))
-            self.samples = [problem.draw_sample(rng) for _ in range(n_samples)]
+            self.samples = problem.draw_samples(rng, n_samples)
             mesh = problem.mesh
-            # the one chunk of factor storage that every call factors into;
-            # the oracle's own storage (_work) would be overwritten by grad
-            self._chunk = fem.RedBlackFactor.empty(mesh, min(_CHUNK, n_samples))
-            rb = self._chunk.ordering
+            rb = fem._geometry(mesh).red_black
             y_d = problem.y_d[mesh.interior]
             # (nodes, target, weights) of the red and of the black nodes
             self._colours = [(idx, y_d[idx], problem.weights[idx])
@@ -321,14 +286,6 @@ class FrozenEvalSet:
             y_d_b = problem.y_d[mesh.boundary_mask]
             self._boundary_sq = wdot(y_d_b, y_d_b,
                                      problem.state_weights[mesh.boundary_mask])
-
-    def _sample_chunks(self) -> list:
-        """The samples, _CHUNK at a time, in sample order."""
-        xis = np.array(self.samples)
-        return [xis[start:start + _CHUNK] for start in range(0, len(xis), _CHUNK)]
-
-    def _lanes(self) -> _Lanes:
-        return _Lanes(self._chunk, -(-len(self.samples) // _CHUNK))
 
     def objective(self, u: np.ndarray) -> float | np.ndarray:
         """Mean smooth value at u plus the L1 term at u.
@@ -344,15 +301,14 @@ class FrozenEvalSet:
         """
         us = np.atleast_2d(u)
         prob = self.problem
-        if self.samples:
-            with self._lanes() as lanes:
-                smooth = self._smooth_values(lanes, us)
+        if len(self.samples):
+            smooth = self._smooth_values(us)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
         values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
         return float(values[0]) if np.ndim(u) == 1 else values
 
-    def _smooth_values(self, lanes: _Lanes, us: np.ndarray) -> np.ndarray:
+    def _smooth_values(self, us: np.ndarray) -> np.ndarray:
         """The elliptic mean smooth value of each row of us, (k, dim)."""
         prob = self.problem
         w = prob.weights
@@ -368,7 +324,7 @@ class FrozenEvalSet:
         def terms(chunk: np.ndarray) -> np.ndarray:
             """Each sample's term of every iterate's value, (len(chunk), k)."""
             out = np.empty((len(chunk), len(us)))
-            with lanes.factored(chunk) as factors:
+            with prob.factored(chunk) as factors:
                 for row, factor in zip(out, factors):
                     for cols, block in blocks:
                         sq = 0.0
@@ -380,7 +336,7 @@ class FrozenEvalSet:
             return out
 
         smooth = np.zeros(len(us))
-        for rows in lanes.map(terms, self._sample_chunks()):
+        for rows in _in_order(terms, _chunks(self.samples)):
             for row in rows:
                 smooth += row
         return smooth / len(self.samples)
@@ -388,15 +344,13 @@ class FrozenEvalSet:
     def smooth_grad(self, u: np.ndarray) -> np.ndarray:
         """Exact gradient at u of the elliptic eval set's mean smooth value;
         factors every sample once."""
-        with self._lanes() as lanes:
-            return self._smooth_grad(lanes, u)
+        return self._smooth_grad(u)
 
-    def _smooth_grad(self, lanes: _Lanes, u: np.ndarray,
-                     y_d: np.ndarray | None = None,
+    def _smooth_grad(self, u: np.ndarray, y_d: np.ndarray | None = None,
                      factored: list | None = None) -> np.ndarray:
         """The gradient at u for the target y_d (defaults to the problem's):
         one state and one adjoint solve per sample, a chunk at a time,
-        summed in sample order. Each lane factors its chunks into its
+        summed in sample order. Each lane factors its chunks into borrowed
         storage, unless the factors of every chunk are given (factored, from
         _factor_all)."""
         prob = self.problem
@@ -408,29 +362,28 @@ class FrozenEvalSet:
             return np.take(p, prob.mesh.interior, axis=1)
 
         def streamed(chunk: np.ndarray) -> np.ndarray:
-            with lanes.factored(chunk) as factors:
+            with prob.factored(chunk) as factors:
                 return adjoints(factors)
 
         acc = np.zeros(prob.dim)
-        for rows in (lanes.map(streamed, self._sample_chunks()) if factored is None
-                     else lanes.map(adjoints, factored)):
+        for rows in (_in_order(streamed, _chunks(self.samples)) if factored is None
+                     else _in_order(adjoints, factored)):
             for p in rows:
                 acc += p
         return prob.alpha * u + acc / len(self.samples)
 
-    def _factor_all(self, lanes: _Lanes) -> list:
+    def _factor_all(self) -> list:
         """The factors of every sample, chunk by chunk, in new storage."""
         mesh = self.problem.mesh
-        return list(lanes.map(lambda chunk: fem.factor(mesh, chunk),
-                              self._sample_chunks()))
+        return list(_in_order(lambda chunk: fem.factor(mesh, chunk),
+                              _chunks(self.samples)))
 
     def smooth_lipschitz(self) -> float:
         """Lipschitz constant of smooth_grad in the W-norm (see _lipschitz);
         factors every sample once."""
-        with self._lanes() as lanes:
-            return self._lipschitz(lanes, self._factor_all(lanes))
+        return self._lipschitz(self._factor_all())
 
-    def _lipschitz(self, lanes: _Lanes, factored: list) -> float:
+    def _lipschitz(self, factored: list) -> float:
         """Power iteration on the gradient for a zero target, which is linear
         in u, with a 1% margin because power iteration approaches the top
         eigenvalue from below."""
@@ -439,7 +392,7 @@ class FrozenEvalSet:
         v = np.ones(len(w)) / wnorm(np.ones(len(w)), w)
         L = 0.0
         for _ in range(100):
-            hv = self._smooth_grad(lanes, v, no_target, factored)
+            hv = self._smooth_grad(v, no_target, factored)
             L_prev, L = L, wdot(v, hv, w)
             v = hv / wnorm(hv, w)
             if abs(L - L_prev) <= 1e-10 * L:
@@ -449,12 +402,10 @@ class FrozenEvalSet:
     def optimum(self) -> ReferenceOptimum:
         """The exact minimizer of the elliptic eval-set objective. Every
         sample is factored once, and that stack serves every gradient."""
-        with self._lanes() as lanes:
-            factored = self._factor_all(lanes)
-            return _prox_gradient(
-                self.problem,
-                lambda u: self._smooth_grad(lanes, u, factored=factored),
-                self._lipschitz(lanes, factored), self.objective)
+        factored = self._factor_all()
+        return _prox_gradient(
+            self.problem, lambda u: self._smooth_grad(u, factored=factored),
+            self._lipschitz(factored), self.objective)
 
 
 @dataclass

@@ -140,8 +140,17 @@ def test_criterion_07_coefficient_bounds(capsys):
            f"within [e^-4, e^4] = [{np.exp(-4.0):.4f}, {np.exp(4.0):.4f}]")
 
 
+@pytest.fixture(scope="module")
+def method_comparison():
+    """Criterion 8's config and its runs of the four methods. Criterion 9
+    reuses the admm runs: an admm-only experiment gives them bit for bit
+    (same run seeds and eval set)."""
+    cfg = elliptic_cfg(methods=("admm", "spg", "ssg", "adasg"))
+    return cfg, run_experiment(cfg)
+
+
 @pytest.mark.slow
-def test_criterion_08_method_comparison(capsys):
+def test_criterion_08_method_comparison(capsys, method_comparison):
     # The paper promises nonergodic rates, not that the averaged iterate u_K
     # beats tuned SG baselines at one horizon, so the ordering is printed but
     # not asserted. On this run u_50 still carries early-iterate legacy: the
@@ -149,8 +158,7 @@ def test_criterion_08_method_comparison(capsys):
     # its 5.3e-4 gap, because rho_k + eta_k = alpha*theta_k <= 2.6e-4 is far
     # below L = 3.6e-3 and those v iterates sit on the box. At K = 100 admm's
     # gap (1.4e-4) still exceeds every baseline's (<= 1.7e-5).
-    cfg = elliptic_cfg(methods=("admm", "spg", "ssg", "adasg"))
-    records = run_experiment(cfg)
+    cfg, records = method_comparison
     ref = build_eval_set(cfg, build_problem(cfg)).optimum()
     gaps = {}
     budgets = {}
@@ -174,9 +182,9 @@ def test_criterion_08_method_comparison(capsys):
 
 
 @pytest.mark.slow
-def test_criterion_09_batch_averaging(capsys):
-    grown = run_experiment(elliptic_cfg(methods=("admm",),
-                                        batch_rule="paper_power"))
+def test_criterion_09_batch_averaging(capsys, method_comparison):
+    # criterion 8's admm runs grow their batches by the default paper_power
+    grown = [rec for rec in method_comparison[1] if rec.method == "admm"]
     constant = run_experiment(elliptic_cfg(methods=("admm",),
                                            batch_rule="constant",
                                            batch_floor=1))

@@ -115,6 +115,16 @@ class TestExitCodes:
         assert cli.main(["rate", "--config", str(cfg), "--k-min", "7"]) == 2
         assert "at least 5" in capsys.readouterr().err
 
+    def test_envelope_of_one_run_fails_before_running(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(cli.harness, "run_experiment", None)
+        cfg = write_cfg(tmp_path, K=20, runs=1)
+        out = tmp_path / "out"
+        assert cli.main(["envelope", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        assert "runs >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_grad_check_seed_is_config_error(self, capsys):
         assert cli.main(["grad-check", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err

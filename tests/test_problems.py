@@ -1,5 +1,6 @@
 """Oracle contracts: unbiasedness, adjoint gradients, reference optima."""
 
+import sys
 import threading
 
 import numpy as np
@@ -139,7 +140,7 @@ class TestEllipticProblem:
 
     def test_state_is_linear_in_control(self, elliptic):
         rng = np.random.default_rng(6)
-        factor = fem.factor(elliptic.mesh, elliptic.draw_sample(rng))
+        factor = fem.factor(elliptic.mesh, elliptic.draw_samples(rng, 1)[0])
 
         def state(u):
             full = np.zeros(elliptic.mesh.n_nodes)
@@ -155,7 +156,7 @@ class TestEllipticProblem:
         rng = np.random.default_rng(7)
         w = elliptic.weights
         for _ in range(3):
-            xi = elliptic.draw_sample(rng)
+            xi = elliptic.draw_samples(rng, 1)[0]
             u = rng.uniform(-2.0, 2.0, size=elliptic.dim)
             d = rng.standard_normal(elliptic.dim)
             d /= wnorm(d, w)
@@ -174,7 +175,7 @@ class TestEllipticProblem:
         rng1 = np.random.default_rng(8)
         rng2 = np.random.default_rng(8)
         avg = elliptic.averaged_grad(u, rng1, 3)
-        manual = np.mean([elliptic.grad(u, elliptic.draw_sample(rng2))
+        manual = np.mean([elliptic.grad(u, elliptic.draw_samples(rng2, 1)[0])
                           for _ in range(3)], axis=0)
         np.testing.assert_allclose(avg, manual, rtol=1e-14)
 
@@ -227,7 +228,7 @@ class TestEllipticProblem:
         rng2 = np.random.Generator(np.random.Philox(3))
         elliptic.averaged_grad(np.ones(elliptic.dim), rng1, 13)
         for _ in range(13):
-            elliptic.draw_sample(rng2)
+            elliptic.draw_samples(rng2, 1)
         # Philox keeps its counter, key and buffer as small arrays
         assert repr(rng1.bit_generator.state) == repr(rng2.bit_generator.state)
         np.testing.assert_array_equal(rng1.random(5), rng2.random(5))
@@ -248,7 +249,7 @@ class TestEllipticProblem:
         u = np.linspace(-1.0, 1.0, elliptic.dim)
         rng1 = np.random.Generator(np.random.Philox(5))
         rng2 = np.random.Generator(np.random.Philox(5))
-        norms = [wnorm(elliptic.grad(u, elliptic.draw_sample(rng2)),
+        norms = [wnorm(elliptic.grad(u, elliptic.draw_samples(rng2, 1)[0]),
                        elliptic.weights) for _ in range(13)]
         assert estimate_L(elliptic, u, rng1, n_calls=13) == pytest.approx(
             np.mean(norms), rel=1e-14)
@@ -271,10 +272,8 @@ class TestEllipticProblem:
             np.testing.assert_array_equal(average, averages[0])
 
     def test_samples_stay_in_cube(self, elliptic):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            xi = elliptic.draw_sample(rng)
-            assert xi.shape == (4,) and np.all(np.abs(xi) <= 1.0)
+        xis = elliptic.draw_samples(np.random.default_rng(9), 100)
+        assert xis.shape == (100, 4) and np.all(np.abs(xis) <= 1.0)
 
 
 class TestObjectives:
@@ -322,17 +321,83 @@ class TestObjectives:
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
 
-    def test_eval_set_holds_one_chunk_of_factors(self, elliptic):
-        # scoring and gradients stream the samples through one chunk of
-        # storage; only optimum and smooth_lipschitz keep every factor, and
-        # only while they run
-        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 1, 0)
-        u = np.linspace(-1.0, 1.0, elliptic.dim)
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_factor_storage_is_pooled_on_the_problem(self, elliptic,
+                                                     monkeypatch, lanes):
+        # the eval set's passes and the oracle borrow chunk storage from the
+        # problem's free list: the set keeps no factor storage, and the list
+        # holds at most one chunk of it per lane that ran
+        monkeypatch.setattr(problems, "_lane_count", lambda: lanes)
+        prob = EllipticControlProblem(elliptic.mesh, elliptic.alpha,
+                                      elliptic.beta)
+        ev = FrozenEvalSet(prob, 2 * problems._CHUNK + 5, 0)  # 3 chunks
+        u = np.linspace(-1.0, 1.0, prob.dim)
         ev.objective(np.stack([u, -u]))
         ev.smooth_grad(u)
         ev.smooth_lipschitz()
-        kept = [v for v in vars(ev).values() if isinstance(v, fem.RedBlackFactor)]
-        assert [len(f) for f in kept] == [problems._CHUNK]
+        ev.optimum()
+        prob.averaged_grad(u, np.random.default_rng(12), 13)
+        assert not [v for v in vars(ev).values()
+                    if isinstance(v, fem.RedBlackFactor)]
+        pooled = [prob._free.get_nowait() for _ in range(prob._free.qsize())]
+        assert 1 <= len(pooled) <= lanes
+        assert [len(f) for f in pooled] == [problems._CHUNK] * len(pooled)
+
+    def test_stack_that_fails_to_factor_returns_its_storage(self, elliptic,
+                                                            monkeypatch):
+        prob = EllipticControlProblem(elliptic.mesh, elliptic.alpha,
+                                      elliptic.beta)
+        xis = prob.draw_samples(np.random.default_rng(15), 3)
+        u = np.ones(prob.dim)
+        outs, factor, assemble = [], fem.factor, fem.assemble
+
+        def indefinite(mesh, xi):
+            stencil = assemble(mesh, xi)
+            stencil[1, 0] = -1.0  # a negative red pivot in sample 1
+            return stencil
+
+        monkeypatch.setattr(fem, "factor", lambda mesh, xi, out=None:
+                            outs.append(out) or factor(mesh, xi, out))
+        prob.grad(u, xis)
+        monkeypatch.setattr(fem, "assemble", indefinite)
+        with pytest.raises(LinAlgError, match="not positive definite"):
+            prob.grad(u, xis)
+        assert prob._free.qsize() == 1
+        monkeypatch.setattr(fem, "assemble", assemble)
+        prob.grad(u, xis)
+        assert prob._free.qsize() == 1
+        assert all(np.shares_memory(out.schur, outs[0].schur) for out in outs)
+
+    def test_threads_borrowing_at_once_hold_their_own_storage(self,
+                                                               elliptic):
+        # more borrowers than cores, switching threads often: a chunk held
+        # by two threads at once would mix their factors and change a
+        # gradient
+        prob = EllipticControlProblem(elliptic.mesh, elliptic.alpha,
+                                      elliptic.beta)
+        u = np.linspace(-1.0, 1.0, prob.dim)
+        stacks = prob.draw_samples(np.random.default_rng(16), 24).reshape(8, 3, 4)
+        expected = [prob.grad(u, xis) for xis in stacks]
+        matched = []
+
+        def borrow(xis, want):
+            for _ in range(20):
+                matched.append(np.array_equal(prob.grad(u, xis), want))
+
+        threads = [threading.Thread(target=borrow, args=pair)
+                   for pair in zip(stacks, expected)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matched == [True] * (20 * len(threads))
+        assert 1 <= prob._free.qsize() <= len(threads)
 
     def test_iterates_beyond_one_column_block_score_alike(self, elliptic,
                                                           monkeypatch):
