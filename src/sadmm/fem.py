@@ -15,6 +15,13 @@ values, red pivots and Schur bands are formed by array operations over the
 whole stack, and only LAPACK's dpbtrf and dpbtrs run once per sample. They
 are called through ctypes, which releases the GIL, so threads factor and
 solve different stacks at once.
+From scipy, fem loads scipy.sparse and the one extension module that holds
+LAPACK's routines, scipy.linalg.cython_lapack, by itself: the scipy.linalg
+package, whose import would run all of scipy/linalg/__init__.py for two
+routines, is not imported (import sadmm peaks at 53 rather than 59 MiB). The
+module is registered in sys.modules under its own name, so a later import
+of scipy.linalg, or of cython_lapack from it, finds this same module; only
+the package attribute scipy.linalg.cython_lapack is not set.
 State and adjoint loads use the lumped-mass weights, so the adjoint-based
 gradient is the exact gradient of the discrete tracking functional.
 """
@@ -22,6 +29,11 @@ gradient is the exact gradient of the discrete tracking functional.
 from __future__ import annotations
 
 import ctypes
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 import weakref
 from dataclasses import dataclass
@@ -29,9 +41,34 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cython_lapack
+from numpy.linalg import LinAlgError
 
 from .hilbert import check_weights, wnorm
+
+
+def _load_cython_lapack():
+    """scipy.linalg.cython_lapack, the one that sys.modules holds, or else
+    its extension file loaded under that name without the scipy.linalg
+    package. An install with no such file under scipy's directory imports
+    it from the package."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    for directory in importlib.util.find_spec("scipy").submodule_search_locations:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "cython_lapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path,
+                                                           loader=loader))
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(name)
+
+
+cython_lapack = _load_cython_lapack()
 
 # Placeholders, never called: perfbench/child.py wraps these two names when it
 # traces a run, until its tracer is re-keyed to red_black_cholesky (ROADMAP
@@ -282,9 +319,11 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 
 
 def _lapack(name: str, *argtypes) -> Callable:
-    """scipy's LAPACK routine name as a ctypes function of argtypes. A
-    ctypes call releases the GIL, which scipy.linalg.lapack's wrappers of
-    the same routines hold."""
+    """scipy's LAPACK routine name as a ctypes function of argtypes, bound
+    to the address in the capsule that cython_lapack (see
+    _load_cython_lapack) exports for it, so no other part of scipy.linalg
+    is needed. A ctypes call releases the GIL, which scipy.linalg.lapack's
+    wrappers of the same routines hold."""
     capsule = cython_lapack.__pyx_capi__[name]
     address = _capsule_pointer(capsule, _capsule_name(capsule))
     return ctypes.CFUNCTYPE(None, *argtypes)(address)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import queue
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -45,23 +45,39 @@ def _chunks(xis: np.ndarray) -> list:
     return [xis[start:start + _CHUNK] for start in range(0, len(xis), _CHUNK)]
 
 
-def _in_order(work, items: list):
-    """work(item) for each item, in item order, on one lane per CPU
-    (_lane_count) but no more lanes than items. One lane runs on the calling
-    thread and starts no thread; more lanes are the threads of a pool while
-    the caller waits for each result in turn. A lane's exception is raised
-    here, and every lane has stopped when the pass ends."""
-    lanes = min(_lane_count(), len(items))
+@contextmanager
+def _lanes(n_items: int):
+    """A thread pool of one lane per CPU (_lane_count) but no more lanes than
+    items, joined when the block ends, or None for one lane."""
+    lanes = min(_lane_count(), n_items)
     if lanes <= 1:
-        yield from map(work, items)
+        yield None
         return
-    pool = ThreadPoolExecutor(lanes)
+    with ThreadPoolExecutor(lanes) as pool:
+        yield pool
+
+
+def _in_order(work, items: list, pool: ThreadPoolExecutor | None = None):
+    """work(item) for each item, in item order, on the threads of pool while
+    the caller waits for each result in turn. Without a pool the pass opens
+    its own (_lanes) for its length; one lane runs on the calling thread and
+    starts no thread. A lane's exception is raised here, after the pass has
+    cancelled its items that no lane started and waited for the ones that
+    are running, so no work of the pass outlives it; a given pool is left
+    open."""
+    if pool is None:
+        with _lanes(len(items)) as pool:
+            yield from (map(work, items) if pool is None
+                        else _in_order(work, items, pool))
+        return
+    pending = deque(pool.submit(work, item) for item in items)
     try:
-        pending = deque(pool.submit(work, item) for item in items)
         while pending:
             yield pending.popleft().result()
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for future in pending:
+            future.cancel()
+        wait(pending)
 
 
 class EllipticControlProblem:
@@ -260,8 +276,10 @@ class FrozenEvalSet:
     process may use (os.sched_getaffinity), each lane factoring and solving
     whole chunks with BLAS at one thread per call. With more than one lane
     the lanes are pool threads and the calling thread waits for their
-    results. The results come back in sample order and are added in it, so
-    every value is the same, bit for bit, whatever the number of lanes.
+    results; optimum and smooth_lipschitz, which make a pass per gradient,
+    keep one pool for the whole call. The results come back in sample order
+    and are added in it, so every value is the same, bit for bit, whatever
+    the number of lanes.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -299,17 +317,24 @@ class FrozenEvalSet:
         every reduction is row-wise (wdot_rows, weighted_l1_rows), and each
         iterate sums its samples in sample order.
         """
+        return self._objective(u)
+
+    def _objective(self, u: np.ndarray,
+                   pool: ThreadPoolExecutor | None = None) -> float | np.ndarray:
+        """objective, with the elliptic pass on pool when one is given."""
         us = np.atleast_2d(u)
         prob = self.problem
         if len(self.samples):
-            smooth = self._smooth_values(us)
+            smooth = self._smooth_values(us, pool)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
         values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
         return float(values[0]) if np.ndim(u) == 1 else values
 
-    def _smooth_values(self, us: np.ndarray) -> np.ndarray:
-        """The elliptic mean smooth value of each row of us, (k, dim)."""
+    def _smooth_values(self, us: np.ndarray,
+                       pool: ThreadPoolExecutor | None) -> np.ndarray:
+        """The elliptic mean smooth value of each row of us, (k, dim), a
+        chunk of samples per item of one pass (_in_order on pool)."""
         prob = self.problem
         w = prob.weights
         alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
@@ -336,7 +361,7 @@ class FrozenEvalSet:
             return out
 
         smooth = np.zeros(len(us))
-        for rows in _in_order(terms, _chunks(self.samples)):
+        for rows in _in_order(terms, _chunks(self.samples), pool):
             for row in rows:
                 smooth += row
         return smooth / len(self.samples)
@@ -347,12 +372,13 @@ class FrozenEvalSet:
         return self._smooth_grad(u)
 
     def _smooth_grad(self, u: np.ndarray, y_d: np.ndarray | None = None,
-                     factored: list | None = None) -> np.ndarray:
+                     factored: list | None = None,
+                     pool: ThreadPoolExecutor | None = None) -> np.ndarray:
         """The gradient at u for the target y_d (defaults to the problem's):
         one state and one adjoint solve per sample, a chunk at a time,
-        summed in sample order. Each lane factors its chunks into borrowed
-        storage, unless the factors of every chunk are given (factored, from
-        _factor_all)."""
+        summed in sample order, in one pass (_in_order on pool). Each lane
+        factors its chunks into borrowed storage, unless the factors of
+        every chunk are given (factored, from _factor_all)."""
         prob = self.problem
         u_full = prob._full(u)
         target = prob.y_d if y_d is None else y_d
@@ -366,24 +392,27 @@ class FrozenEvalSet:
                 return adjoints(factors)
 
         acc = np.zeros(prob.dim)
-        for rows in (_in_order(streamed, _chunks(self.samples)) if factored is None
-                     else _in_order(adjoints, factored)):
+        for rows in (_in_order(streamed, _chunks(self.samples), pool)
+                     if factored is None
+                     else _in_order(adjoints, factored, pool)):
             for p in rows:
                 acc += p
         return prob.alpha * u + acc / len(self.samples)
 
-    def _factor_all(self) -> list:
+    def _factor_all(self, pool: ThreadPoolExecutor | None) -> list:
         """The factors of every sample, chunk by chunk, in new storage."""
         mesh = self.problem.mesh
         return list(_in_order(lambda chunk: fem.factor(mesh, chunk),
-                              _chunks(self.samples)))
+                              _chunks(self.samples), pool))
 
     def smooth_lipschitz(self) -> float:
         """Lipschitz constant of smooth_grad in the W-norm (see _lipschitz);
-        factors every sample once."""
-        return self._lipschitz(self._factor_all())
+        factors every sample once, and every pass runs on one pool."""
+        with _lanes(len(_chunks(self.samples))) as pool:
+            return self._lipschitz(self._factor_all(pool), pool)
 
-    def _lipschitz(self, factored: list) -> float:
+    def _lipschitz(self, factored: list,
+                   pool: ThreadPoolExecutor | None) -> float:
         """Power iteration on the gradient for a zero target, which is linear
         in u, with a 1% margin because power iteration approaches the top
         eigenvalue from below."""
@@ -392,7 +421,7 @@ class FrozenEvalSet:
         v = np.ones(len(w)) / wnorm(np.ones(len(w)), w)
         L = 0.0
         for _ in range(100):
-            hv = self._smooth_grad(v, no_target, factored)
+            hv = self._smooth_grad(v, no_target, factored, pool)
             L_prev, L = L, wdot(v, hv, w)
             v = hv / wnorm(hv, w)
             if abs(L - L_prev) <= 1e-10 * L:
@@ -401,11 +430,15 @@ class FrozenEvalSet:
 
     def optimum(self) -> ReferenceOptimum:
         """The exact minimizer of the elliptic eval-set objective. Every
-        sample is factored once, and that stack serves every gradient."""
-        factored = self._factor_all()
-        return _prox_gradient(
-            self.problem, lambda u: self._smooth_grad(u, factored=factored),
-            self._lipschitz(factored), self.objective)
+        sample is factored once, and that stack serves every gradient; every
+        pass, the final scoring too, runs on one pool."""
+        with _lanes(len(_chunks(self.samples))) as pool:
+            factored = self._factor_all(pool)
+            return _prox_gradient(
+                self.problem,
+                lambda u: self._smooth_grad(u, factored=factored, pool=pool),
+                self._lipschitz(factored, pool),
+                lambda u: self._objective(u, pool))
 
 
 @dataclass

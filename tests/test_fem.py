@@ -1,7 +1,10 @@
 """P1 assembly and PDE solves checked against hand-computable oracles."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -392,6 +395,67 @@ class TestSolves:
     def test_adjoint_shape_mismatch(self, factor4):
         with pytest.raises(ValueError, match="different meshes"):
             fem.solve_adjoint(factor4, np.zeros(25), np.zeros(24))
+
+
+# Factor and solve one elliptic sample in a fresh process; print a digest of
+# the factor's and the solution's bits, then whether scipy.linalg was imported.
+FACTOR_AND_SOLVE = """
+import hashlib, sys
+import numpy as np
+import sadmm
+from sadmm import fem
+mesh = fem.build_mesh(2.0 ** -4)
+factor = fem.factor(mesh, np.array([0.3, -0.5, 0.7, -0.1]))
+x = fem.band_solve(factor, np.ones((1, mesh.interior.size, 2)))
+assert sys.modules["scipy.linalg.cython_lapack"] is fem.cython_lapack
+print(hashlib.sha256(factor.schur.tobytes() + x.tobytes()).hexdigest())
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def run_fresh(code: str) -> list:
+    """The output lines of code run by a new interpreter that imports this
+    sadmm."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(fem.__file__).parents[1])]
+        + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+class TestLapackLoader:
+    """fem takes dpbtrf and dpbtrs from scipy.linalg.cython_lapack loaded by
+    itself; the scipy.linalg package stays unimported."""
+
+    def test_import_and_solve_leave_scipy_linalg_out(self):
+        _, linalg_loaded = run_fresh(FACTOR_AND_SOLVE)
+        assert linalg_loaded == "False"
+
+    def test_fallback_import_gives_the_same_bits(self):
+        # with no extension file found under scipy's directory, fem imports
+        # the module from the scipy.linalg package
+        digest, linalg_loaded = run_fresh(FACTOR_AND_SOLVE)
+        no_file = "import importlib.machinery\n" \
+            "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+        fallback, fallback_loaded = run_fresh(no_file + FACTOR_AND_SOLVE)
+        assert (linalg_loaded, fallback_loaded) == ("False", "True")
+        assert fallback == digest
+
+    def test_scipy_linalg_imports_after_sadmm(self):
+        out = run_fresh("""
+import numpy as np
+from sadmm import fem
+import scipy.linalg
+from scipy.linalg import cython_lapack
+band = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0]])
+factor, info = scipy.linalg.lapack.dpbtrf(band, lower=0)
+print(cython_lapack is fem.cython_lapack, info,
+      np.allclose(scipy.linalg.cholesky_banded(band), factor))
+""")
+        assert out == ["True", "0", "True"]
 
 
 class TestHelpers:

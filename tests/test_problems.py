@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -444,16 +445,65 @@ class TestEvalLanes:
             for got, want in zip(values, by_lanes[0]):
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("call", ["objective", "smooth_grad"])
+    @pytest.mark.parametrize("call", ["objective", "smooth_grad",
+                                      "smooth_lipschitz", "optimum"])
     def test_helper_lane_error_reaches_caller(self, elliptic, monkeypatch,
                                               call):
         ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
         monkeypatch.setattr(problems, "_lane_count", lambda: 2)
         threads = threading.active_count()
         fail_in_helper_lanes(monkeypatch)
+        args = (np.ones(elliptic.dim),) if call in ("objective", "smooth_grad") \
+            else ()
         with pytest.raises(LinAlgError, match="a helper lane failed"):
-            getattr(ev, call)(np.ones(elliptic.dim))
+            getattr(ev, call)(*args)
         assert threading.active_count() == threads
+
+    def test_one_pool_per_optimum(self, elliptic, monkeypatch):
+        # optimum and smooth_lipschitz make a pass per gradient, all on the
+        # threads of one pool; a single pass opens its own
+        pools = []
+
+        class CountingPool(problems.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
+        u = np.ones(elliptic.dim)
+        monkeypatch.setattr(problems, "_lane_count", lambda: 2)
+        monkeypatch.setattr(problems, "ThreadPoolExecutor", CountingPool)
+        for call in (ev.optimum, ev.smooth_lipschitz, lambda: ev.objective(u),
+                     lambda: ev.smooth_grad(u)):
+            before = len(pools)
+            call()
+            assert len(pools) == before + 1
+        assert all(pool._max_workers == 2 for pool in pools)
+
+    def test_failed_pass_stops_its_work_and_leaves_the_pool_open(self):
+        # item 0 fails while item 1 runs: the pass waits for item 1, starts
+        # no item after it raises, and leaves the given pool working
+        started, finished, second = [], [], threading.Event()
+
+        def work(item):
+            started.append(item)
+            try:
+                if item == 0:
+                    second.wait(timeout=10)
+                    raise ValueError("item 0 failed")
+                second.set()
+                time.sleep(0.2)
+                return item
+            finally:
+                finished.append(item)
+
+        with problems.ThreadPoolExecutor(2) as pool:
+            with pytest.raises(ValueError, match="item 0 failed"):
+                list(problems._in_order(work, list(range(8)), pool))
+            assert 1 in finished and sorted(finished) == sorted(started)
+            time.sleep(0.3)
+            assert len(started) == len(finished) < 8
+            assert pool.submit(abs, -3).result() == 3
 
 
 class TestReferenceOptimum:
