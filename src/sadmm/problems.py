@@ -30,6 +30,10 @@ _CHUNK = 6
 # which bounds the working memory of scoring every iterate of an experiment
 # in one call (BENCH_stream_eval.json).
 _COLUMNS = 64
+# The quadratic oracle draws its noise in blocks of at most this many doubles
+# (64 KiB): one draw per block instead of one per sample, and no block large
+# enough to be mapped and faulted in afresh (BENCH_quadratic_draws.json).
+_NOISE_BLOCK = 8192
 
 
 def _lane_count() -> int:
@@ -223,23 +227,25 @@ class QuadraticProblem:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def draw_sample(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sigma * rng.standard_normal(self.dim)
-
     def exact_grad(self, u: np.ndarray) -> np.ndarray:
         return self.A.T @ (self.A @ u - self.b) + self.alpha * u
-
-    def grad(self, u: np.ndarray, noise: np.ndarray) -> np.ndarray:
-        return self.exact_grad(u) + noise
 
     def smooth_value(self, u: np.ndarray, sample: np.ndarray | None = None) -> float:
         r = self.A @ u - self.b
         return 0.5 * float(r @ r) + 0.5 * self.alpha * float(u @ u)
 
     def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
-        """The per-sample gradients at u of n fresh noise draws, in draw order."""
-        for _ in range(n):
-            yield self.grad(u, self.draw_sample(rng))
+        """The per-sample gradients at u of n fresh noise draws, in draw order:
+        exact_grad(u) + sigma * rng.standard_normal(dim) each. The noise is
+        drawn in blocks of rows, at most _NOISE_BLOCK doubles each, which
+        gives the same values and generator state as n draws of dim."""
+        g = self.exact_grad(u)
+        rows = max(1, _NOISE_BLOCK // self.dim)
+        for start in range(0, n, rows):
+            block = rng.standard_normal((min(rows, n - start), self.dim))
+            block *= self.sigma
+            block += g
+            yield from block
 
     def averaged_grad(self, u: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
         noise = self.sigma * rng.standard_normal((m, self.dim)).mean(axis=0)
@@ -269,8 +275,9 @@ class FrozenEvalSet:
     every iterate of an experiment in one objective call factors each sample
     once. optimum and smooth_lipschitz factor every sample once per call
     into storage of their own and reuse those factors for all their
-    gradients. The quadratic problem's smooth value does not depend on the
-    sample, so it draws no samples and scores each iterate once.
+    gradients and for optimum's final scoring. The quadratic problem's
+    smooth value does not depend on the sample, so it draws no samples and
+    scores each iterate once.
 
     Every pass over the samples (_in_order) runs one lane per CPU the
     process may use (os.sched_getaffinity), each lane factoring and solving
@@ -319,22 +326,23 @@ class FrozenEvalSet:
         """
         return self._objective(u)
 
-    def _objective(self, u: np.ndarray,
-                   pool: ThreadPoolExecutor | None = None) -> float | np.ndarray:
-        """objective, with the elliptic pass on pool when one is given."""
+    def _objective(self, u: np.ndarray, pool: ThreadPoolExecutor | None = None,
+                   factored: list | None = None) -> float | np.ndarray:
+        """objective, with the elliptic pass on pool when one is given and on
+        the held factors of every chunk when given (see _factor_pass)."""
         us = np.atleast_2d(u)
         prob = self.problem
         if len(self.samples):
-            smooth = self._smooth_values(us, pool)
+            smooth = self._smooth_values(us, pool, factored)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
         values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
         return float(values[0]) if np.ndim(u) == 1 else values
 
-    def _smooth_values(self, us: np.ndarray,
-                       pool: ThreadPoolExecutor | None) -> np.ndarray:
+    def _smooth_values(self, us: np.ndarray, pool: ThreadPoolExecutor | None,
+                       factored: list | None) -> np.ndarray:
         """The elliptic mean smooth value of each row of us, (k, dim), a
-        chunk of samples per item of one pass (_in_order on pool)."""
+        chunk of samples per item of one pass (_factor_pass)."""
         prob = self.problem
         w = prob.weights
         alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
@@ -346,22 +354,21 @@ class FrozenEvalSet:
                     for idx, _, _ in self._colours])
                   for start in range(0, len(us), _COLUMNS)]
 
-        def terms(chunk: np.ndarray) -> np.ndarray:
-            """Each sample's term of every iterate's value, (len(chunk), k)."""
-            out = np.empty((len(chunk), len(us)))
-            with prob.factored(chunk) as factors:
-                for row, factor in zip(out, factors):
-                    for cols, block in blocks:
-                        sq = 0.0
-                        for x, (_, y_d, w_c) in zip(factor.solve(*block),
-                                                    self._colours):
-                            r = np.subtract(x[0].T, y_d, order="C")
-                            sq = sq + wdot_rows(r, r, w_c)
-                        row[cols] = 0.5 * (sq + self._boundary_sq) + alpha_terms[cols]
+        def terms(factors: fem.RedBlackFactor) -> np.ndarray:
+            """Each sample's term of every iterate's value, (len(factors), k)."""
+            out = np.empty((len(factors), len(us)))
+            for row, factor in zip(out, factors):
+                for cols, block in blocks:
+                    sq = 0.0
+                    for x, (_, y_d, w_c) in zip(factor.solve(*block),
+                                                self._colours):
+                        r = np.subtract(x[0].T, y_d, order="C")
+                        sq = sq + wdot_rows(r, r, w_c)
+                    row[cols] = 0.5 * (sq + self._boundary_sq) + alpha_terms[cols]
             return out
 
         smooth = np.zeros(len(us))
-        for rows in _in_order(terms, _chunks(self.samples), pool):
+        for rows in self._factor_pass(terms, pool, factored):
             for row in rows:
                 smooth += row
         return smooth / len(self.samples)
@@ -376,9 +383,7 @@ class FrozenEvalSet:
                      pool: ThreadPoolExecutor | None = None) -> np.ndarray:
         """The gradient at u for the target y_d (defaults to the problem's):
         one state and one adjoint solve per sample, a chunk at a time,
-        summed in sample order, in one pass (_in_order on pool). Each lane
-        factors its chunks into borrowed storage, unless the factors of
-        every chunk are given (factored, from _factor_all)."""
+        summed in sample order, in one pass (_factor_pass)."""
         prob = self.problem
         u_full = prob._full(u)
         target = prob.y_d if y_d is None else y_d
@@ -387,17 +392,28 @@ class FrozenEvalSet:
             p = fem.solve_adjoint(factors, fem.solve_state(factors, u_full), target)
             return np.take(p, prob.mesh.interior, axis=1)
 
-        def streamed(chunk: np.ndarray) -> np.ndarray:
-            with prob.factored(chunk) as factors:
-                return adjoints(factors)
-
         acc = np.zeros(prob.dim)
-        for rows in (_in_order(streamed, _chunks(self.samples), pool)
-                     if factored is None
-                     else _in_order(adjoints, factored, pool)):
+        for rows in self._factor_pass(adjoints, pool, factored):
             for p in rows:
                 acc += p
         return prob.alpha * u + acc / len(self.samples)
+
+    def _factor_pass(self, work, pool: ThreadPoolExecutor | None,
+                     factored: list | None):
+        """work(factors) for the factors of each chunk of samples, in sample
+        order, in one pass (_in_order on pool); the only place a pass gets a
+        chunk's factors. Each lane factors its chunks into storage borrowed
+        from the problem (EllipticControlProblem.factored), unless the
+        factors of every chunk are given (factored, from _factor_all)."""
+        if factored is not None:
+            return _in_order(work, factored, pool)
+        prob = self.problem
+
+        def streamed(chunk: np.ndarray):
+            with prob.factored(chunk) as factors:
+                return work(factors)
+
+        return _in_order(streamed, _chunks(self.samples), pool)
 
     def _factor_all(self, pool: ThreadPoolExecutor | None) -> list:
         """The factors of every sample, chunk by chunk, in new storage."""
@@ -430,15 +446,15 @@ class FrozenEvalSet:
 
     def optimum(self) -> ReferenceOptimum:
         """The exact minimizer of the elliptic eval-set objective. Every
-        sample is factored once, and that stack serves every gradient; every
-        pass, the final scoring too, runs on one pool."""
+        sample is factored once, and those factors serve every gradient and
+        the final scoring; every pass runs on one pool."""
         with _lanes(len(_chunks(self.samples))) as pool:
             factored = self._factor_all(pool)
             return _prox_gradient(
                 self.problem,
                 lambda u: self._smooth_grad(u, factored=factored, pool=pool),
                 self._lipschitz(factored, pool),
-                lambda u: self._objective(u, pool))
+                lambda u: self._objective(u, pool, factored))
 
 
 @dataclass

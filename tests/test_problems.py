@@ -109,6 +109,33 @@ class TestQuadraticProblem:
                           for _ in range(200)])
         assert dev100 < 0.3 * dev1
 
+    @pytest.mark.parametrize("n", ["one", "below", "block", "above",
+                                   "blocks_and_some"])
+    def test_block_draws_match_sequential_draws(self, n):
+        # the noise comes in blocks of rows; the rows and the generator
+        # state are those of n draws of dim, one at a time
+        prob = make_quadratic(dim=50, sigma=0.3)
+        rows = problems._NOISE_BLOCK // prob.dim
+        n = {"one": 1, "below": rows - 1, "block": rows, "above": rows + 1,
+             "blocks_and_some": 2 * rows + 7}[n]
+        u = np.random.default_rng(6).standard_normal(prob.dim)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = list(prob.sample_grads(u, rng, n))
+        want = [prob.exact_grad(u) + prob.sigma * ref_rng.standard_normal(prob.dim)
+                for _ in range(n)]
+        np.testing.assert_array_equal(np.array(got), np.array(want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_estimate_l_matches_sequential_draws(self):
+        prob = make_quadratic(dim=50, sigma=0.3)
+        u = np.zeros(prob.dim)
+        rng, ref_rng = (np.random.Generator(np.random.Philox(8)) for _ in range(2))
+        total = 0.0
+        for _ in range(1000):
+            noise = prob.sigma * ref_rng.standard_normal(prob.dim)
+            total += wnorm(prob.exact_grad(u) + noise, prob.weights)
+        assert estimate_L(prob, u, rng, n_calls=1000) == total / 1000
+
     def test_smooth_lipschitz_bounds_gradient_variation(self, elliptic):
         # the quadratic's exact L and the eval set's power-iteration L, each
         # in its problem's W-norm
@@ -529,6 +556,21 @@ class TestReferenceOptimum:
             for _ in range(20):
                 v = rng.uniform(prob.u_min, prob.u_max, size=prob.dim)
                 assert objective(v) >= ref.objective - 1e-12
+
+    def test_optimum_factors_each_sample_once(self, elliptic, monkeypatch):
+        # the gradients and the final scoring share one factorization of
+        # every sample, and the held factors score like streamed ones
+        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
+        factor, rows = fem.factor, []
+
+        def counting_factor(mesh, xi, *args, **kwargs):
+            rows.append(len(np.atleast_2d(xi)))
+            return factor(mesh, xi, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "factor", counting_factor)
+        ref = ev.optimum()
+        assert sum(rows) == len(ev.samples)
+        assert ref.objective == ev.objective(ref.u)
 
     def test_objective_value_reported_at_optimum(self):
         prob = make_quadratic(alpha=2.0, beta=0.0, sigma=0.0)
