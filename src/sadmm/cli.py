@@ -104,7 +104,7 @@ def cmd_rate(args) -> int:
     if "admm" not in cfg.methods:
         raise ConfigError("rate fitting fits the admm gap; methods must "
                           "include admm")
-    k_range = (args.k_min, args.k_max or cfg.K)
+    k_range = (args.k_min, cfg.K if args.k_max is None else args.k_max)
     n_points = min(k_range[1], cfg.K) - max(k_range[0], 1) + 1
     if n_points < 5:
         raise ConfigError(f"K={cfg.K} leaves {max(n_points, 0)} iterations "

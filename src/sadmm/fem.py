@@ -592,35 +592,31 @@ def factor(mesh: StructuredMesh, xi: np.ndarray,
 
 
 def solve_state(factor: RedBlackFactor, u: np.ndarray) -> np.ndarray:
-    """Solve the discrete state equation K y = W u with zero boundary values,
-    given the factor of K.
+    """Solve the discrete state equation K y = W u with zero boundary values
+    eliminated, given the factor of K and an interior control u (n_interior,).
 
     The load uses the lumped weights W so that the adjoint gradient below is
     exact for the discrete objective. The factor of a stack of m samples
-    gives one state per sample with the same control, shape (m, n_nodes).
+    gives one interior state per sample with the same control, (m, n_interior).
     """
-    u = np.asarray(u, dtype=float)
     mesh = factor.mesh
-    rhs = (lumped_weights(mesh) * u)[mesh.interior]
-    y = np.zeros((len(factor), mesh.n_nodes))
-    loads = rhs[None, :, None].repeat(len(factor), axis=0)
-    y[:, mesh.interior] = band_solve(factor, loads)[..., 0]
-    return y
+    loads = lumped_weights(mesh)[mesh.interior] * np.asarray(u, dtype=float)
+    stack = loads[None, :, None].repeat(len(factor), axis=0)
+    return band_solve(factor, stack)[..., 0]
 
 
 def solve_adjoint(factor: RedBlackFactor, y: np.ndarray,
                   y_d: np.ndarray) -> np.ndarray:
-    """Solve the adjoint equation K p = W (y - y_d) with zero boundary values
-    as in solve_state, given one state per sample, y (m, n_nodes)."""
+    """Solve the adjoint equation K p = W (y - y_d) on the interior nodes as
+    in solve_state, given one interior state per sample, y (m, n_interior),
+    and an interior target y_d (n_interior,)."""
     y = np.asarray(y, dtype=float)
     y_d = np.asarray(y_d, dtype=float)
     if y.shape[-1:] != y_d.shape:
         raise ValueError("state and target live on different meshes")
     mesh = factor.mesh
-    rhs = (lumped_weights(mesh) * (y - y_d))[:, mesh.interior]
-    p = np.zeros(y.shape)
-    p[:, mesh.interior] = band_solve(factor, rhs[:, :, None])[..., 0]
-    return p
+    rhs = lumped_weights(mesh)[mesh.interior] * (y - y_d)
+    return band_solve(factor, rhs[:, :, None])[..., 0]
 
 
 def interpolate(mesh: StructuredMesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:

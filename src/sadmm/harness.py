@@ -7,6 +7,7 @@ import csv
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +40,7 @@ class ConfigError(ValueError):
 
 _COUNT_FIELDS = ("K", "runs", "eval_samples", "seed", "quad_dim", "batch_floor",
                  "l_est_calls")
+_FLOAT_FIELDS = ("alpha", "beta", "mu", "mesh_h", "u_min", "u_max", "quad_sigma")
 
 
 @dataclass
@@ -71,6 +73,11 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+        # NaN passes the range checks below, and NaN or inf fails every run
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.problem not in ("elliptic", "quadratic"):
@@ -490,8 +497,10 @@ def fem_verify() -> CheckReport:
     errors = []
     for h in h_list:
         mesh = fem.build_mesh(h)
-        y = fem.solve_state(fem.factor(mesh, np.zeros(4)),
-                            fem.interpolate(mesh, forcing))[0]
+        y = np.zeros(mesh.n_nodes)
+        y[mesh.interior] = fem.solve_state(
+            fem.factor(mesh, np.zeros(4)),
+            fem.interpolate(mesh, forcing)[mesh.interior])[0]
         errors.append(fem.l2_error(y, exact, mesh, fem.lumped_weights(mesh)))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     ok = all(1.8 <= o <= 2.2 for o in orders)

@@ -129,12 +129,6 @@ class EllipticControlProblem:
     def dim(self) -> int:
         return len(self.mesh.interior)
 
-    def _full(self, u: np.ndarray) -> np.ndarray:
-        """Scatter an interior control vector onto all mesh nodes."""
-        full = np.zeros(self.mesh.n_nodes)
-        full[self.mesh.interior] = u
-        return full
-
     def draw_samples(self, rng: np.random.Generator, m: int) -> np.ndarray:
         """m samples, (m, 4), uniform on [-1, 1]^4; m draws of one sample
         give the same values and generator state."""
@@ -168,20 +162,23 @@ class EllipticControlProblem:
         is not positive definite anywhere in the stack raises LinAlgError.
         The rows are C-contiguous, so a row's value under any reduction
         (wnorm in estimate_L) does not depend on the stack it came from.
-        At u = 0 (estimate_L's probe, every run's first step) the state is
-        exactly 0, so its solve is skipped: y - y_d is -y_d bit for bit.
         """
         xis = np.asarray(xi, dtype=float)
-        stack = np.atleast_2d(xis)
-        with self.factored(stack) as factor:
-            if np.any(u):
-                y = fem.solve_state(factor, self._full(u))
-            else:
-                y = np.zeros((len(stack), self.mesh.n_nodes))
-            p = fem.solve_adjoint(factor, y, self.y_d)
-        # np.take, unlike p[:, interior], gives a C-ordered block
-        g = self.alpha * u + np.take(p, self.mesh.interior, axis=1)
+        with self.factored(np.atleast_2d(xis)) as factor:
+            g = self.alpha * u + self._adjoints(factor, u)
         return g.reshape(xis.shape[:-1] + g.shape[-1:])
+
+    def _adjoints(self, factors: fem.RedBlackFactor, u: np.ndarray,
+                  y_d: np.ndarray | None = None) -> np.ndarray:
+        """The adjoint of each sample of a stack of factors at u for the
+        interior target y_d (the problem's by default), one row per sample:
+        the one chain of grad and the eval set's gradient. At u = 0 (every
+        run's first step, the reference optimum's start) the state is
+        exactly 0, so its solve is skipped: y - y_d is -y_d bit for bit."""
+        y = (fem.solve_state(factors, u) if np.any(u)
+             else np.zeros((len(factors), self.dim)))
+        return fem.solve_adjoint(
+            factors, y, self.y_d[self.mesh.interior] if y_d is None else y_d)
 
     def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
         """The per-sample gradients at u of n fresh samples, in draw order,
@@ -190,7 +187,9 @@ class EllipticControlProblem:
             yield from self.grad(u, xis)
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
-        y = fem.solve_state(fem.factor(self.mesh, xi), self._full(u))[0]
+        # the tracking term spans all nodes; the state is 0 on the boundary
+        y = np.zeros(self.mesh.n_nodes)
+        y[self.mesh.interior] = fem.solve_state(fem.factor(self.mesh, xi), u)[0]
         return (0.5 * wnorm(y - self.y_d, self.state_weights) ** 2
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
@@ -381,19 +380,13 @@ class FrozenEvalSet:
     def _smooth_grad(self, u: np.ndarray, y_d: np.ndarray | None = None,
                      factored: list | None = None,
                      pool: ThreadPoolExecutor | None = None) -> np.ndarray:
-        """The gradient at u for the target y_d (defaults to the problem's):
-        one state and one adjoint solve per sample, a chunk at a time,
-        summed in sample order, in one pass (_factor_pass)."""
+        """The gradient at u for the interior target y_d (defaults to the
+        problem's): the oracle's adjoint chain (_adjoints) per chunk of
+        samples, summed in sample order, in one pass (_factor_pass)."""
         prob = self.problem
-        u_full = prob._full(u)
-        target = prob.y_d if y_d is None else y_d
-
-        def adjoints(factors: fem.RedBlackFactor) -> np.ndarray:
-            p = fem.solve_adjoint(factors, fem.solve_state(factors, u_full), target)
-            return np.take(p, prob.mesh.interior, axis=1)
-
         acc = np.zeros(prob.dim)
-        for rows in self._factor_pass(adjoints, pool, factored):
+        for rows in self._factor_pass(
+                lambda factors: prob._adjoints(factors, u, y_d), pool, factored):
             for p in rows:
                 acc += p
         return prob.alpha * u + acc / len(self.samples)
@@ -433,7 +426,7 @@ class FrozenEvalSet:
         in u, with a 1% margin because power iteration approaches the top
         eigenvalue from below."""
         w = self.problem.weights
-        no_target = np.zeros(self.problem.mesh.n_nodes)
+        no_target = np.zeros(len(w))
         v = np.ones(len(w)) / wnorm(np.ones(len(w)), w)
         L = 0.0
         for _ in range(100):

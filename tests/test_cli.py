@@ -20,9 +20,10 @@ def write_cfg(tmp_path, **overrides):
 
 # config values that a solver layer would reject once the run started, that
 # make a method meaningless, that repeat a method (its runs would repeat on
-# the same run seeds), or counts that are not nonnegative integers (a float K
-# would fail every run, each logged and dropped), by the field the error
-# message must name
+# the same run seeds), counts that are not nonnegative integers (a float K
+# would fail every run, each logged and dropped), or floats that are not
+# finite (a NaN alpha would fail every run the same way), by the field the
+# error message must name
 REJECTED_BELOW_CONFIG = {
     "l_est_calls": {"l_est_calls": 0},
     "mu": {"mu": 1.5},
@@ -38,6 +39,8 @@ REJECTED_BELOW_CONFIG = {
     "runs": {"runs": 1.0},
     "eval_samples": {"eval_samples": True},
     "seed": {"seed": -1},
+    "alpha": {"alpha": float("nan")},
+    "u_max": {"u_max": float("inf")},
 }
 
 
@@ -113,7 +116,11 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, K=10)
         assert cli.main(["rate", "--config", str(cfg)]) == 2
         assert cli.main(["rate", "--config", str(cfg), "--k-min", "7"]) == 2
-        assert "at least 5" in capsys.readouterr().err
+        # --k-max 0 ends the range at 0 like any other value, not at K
+        assert cli.main(["rate", "--config", str(cfg), "--k-min", "1",
+                         "--k-max", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "at least 5" in err and "0 iterations in [1, 0]" in err
 
     def test_envelope_of_one_run_fails_before_running(self, tmp_path,
                                                       monkeypatch, capsys):

@@ -205,28 +205,33 @@ class TestAssembly:
         before = fem.lumped_weights(mesh4).copy()
         for xi in (np.zeros(4), np.array([0.9, -0.9, 0.5, -0.5])):
             factor = fem.factor(mesh4, xi)
-            fem.solve_adjoint(factor, fem.solve_state(factor, np.ones(25)),
-                              np.zeros(25))
+            fem.solve_adjoint(factor, fem.solve_state(factor, np.ones(9)),
+                              np.zeros(9))
         np.testing.assert_array_equal(fem.lumped_weights(mesh4), before)
 
 
 class TestSolves:
     def test_state_zero_load(self, factor4):
-        y = fem.solve_state(factor4, np.zeros(25))
-        np.testing.assert_array_equal(y, np.zeros((1, 25)))
+        y = fem.solve_state(factor4, np.zeros(9))
+        np.testing.assert_array_equal(y, np.zeros((1, 9)))
 
     def test_state_boundary_values_zero(self, mesh4):
         rng = np.random.default_rng(3)
         factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
-        y = fem.solve_state(factor, rng.standard_normal(25))
-        assert np.all(y[:, mesh4.boundary_mask] == 0.0)
+        # the state has one value per interior node; scattered onto all nodes
+        # by mesh.interior, every boundary node keeps its eliminated 0
+        y = fem.solve_state(factor, rng.standard_normal(9))
+        assert y.shape == (1, mesh4.interior.size)
+        full = np.zeros((1, mesh4.n_nodes))
+        full[:, mesh4.interior] = y
+        assert np.all(full[:, mesh4.boundary_mask] == 0.0)
 
     def test_maximum_principle(self, mesh4):
         # nonnegative load with an M-matrix stiffness gives nonnegative state
         rng = np.random.default_rng(4)
         for _ in range(3):
             factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
-            y = fem.solve_state(factor, rng.uniform(0.0, 2.0, size=25))
+            y = fem.solve_state(factor, rng.uniform(0.0, 2.0, size=9))
             assert y.min() >= -1e-12
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
@@ -242,10 +247,10 @@ class TestSolves:
         # 1 keeps one empty band row
         assert factor.schur.shape == (1, min(side + 1, side * side),
                                       side * side // 2)
-        u = rng.standard_normal(mesh.n_nodes)
-        loads = (fem.lumped_weights(mesh) * u)[mesh.interior]
+        u = rng.standard_normal(mesh.interior.size)
+        loads = fem.lumped_weights(mesh)[mesh.interior] * u
         expected = spsolve(reference_stiffness(mesh, xi).tocsc(), loads)
-        y = fem.solve_state(factor, u)[0, mesh.interior]
+        y = fem.solve_state(factor, u)[0]
         assert (np.linalg.norm(y - expected)
                 <= 1e-12 * np.linalg.norm(expected))
         # several right-hand sides solve column by column alike; at level 1
@@ -383,10 +388,10 @@ class TestSolves:
         # <u, p>_W == <y(u2), y - y_d>_W since p = K^{-1} W (y - y_d)
         rng = np.random.default_rng(6)
         factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
-        w = fem.lumped_weights(mesh4)
-        u = rng.standard_normal(25)
-        y = fem.solve_state(factor, rng.standard_normal(25))
-        y_d = rng.standard_normal(25)
+        w = fem.lumped_weights(mesh4)[mesh4.interior]
+        u = rng.standard_normal(9)
+        y = fem.solve_state(factor, rng.standard_normal(9))
+        y_d = rng.standard_normal(9)
         p = fem.solve_adjoint(factor, y, y_d)[0]
         lhs = wdot(u, p, w)
         rhs = wdot(fem.solve_state(factor, u)[0], y[0] - y_d, w)
@@ -394,7 +399,7 @@ class TestSolves:
 
     def test_adjoint_shape_mismatch(self, factor4):
         with pytest.raises(ValueError, match="different meshes"):
-            fem.solve_adjoint(factor4, np.zeros(25), np.zeros(24))
+            fem.solve_adjoint(factor4, np.zeros((1, 9)), np.zeros(8))
 
 
 # Factor and solve one elliptic sample in a fresh process; print a digest of

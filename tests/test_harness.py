@@ -53,6 +53,16 @@ class TestConfig:
         {"quad_dim": 5.0},
         {"batch_floor": True},
         {"l_est_calls": 10.0},
+        {"alpha": float("nan")},
+        {"alpha": float("inf")},
+        {"beta": float("nan")},
+        {"mu": float("nan")},
+        {"u_min": float("-inf")},
+        {"u_max": float("nan")},
+        {"quad_sigma": float("nan")},
+        {"quad_sigma": float("inf")},
+        {"problem": "quadratic", "mesh_h": float("nan")},
+        {"problem": "quadratic", "mesh_h": "x"},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ConfigError):

@@ -171,9 +171,7 @@ class TestEllipticProblem:
         factor = fem.factor(elliptic.mesh, elliptic.draw_samples(rng, 1)[0])
 
         def state(u):
-            full = np.zeros(elliptic.mesh.n_nodes)
-            full[elliptic.mesh.interior] = u
-            return fem.solve_state(factor, full)
+            return fem.solve_state(factor, u)
 
         u1, u2 = rng.standard_normal((2, elliptic.dim))
         np.testing.assert_allclose(
@@ -238,9 +236,9 @@ class TestEllipticProblem:
         xis = elliptic.draw_samples(np.random.default_rng(13), 3)
         u = np.zeros(elliptic.dim)
         factor = fem.factor(elliptic.mesh, xis)
-        y = fem.solve_state(factor, elliptic._full(u))
-        p = fem.solve_adjoint(factor, y, elliptic.y_d)
-        expected = elliptic.alpha * u + p[:, elliptic.mesh.interior]
+        y = fem.solve_state(factor, u)
+        p = fem.solve_adjoint(factor, y, elliptic.y_d[elliptic.mesh.interior])
+        expected = elliptic.alpha * u + p
         states = []
         solve_state = fem.solve_state
         monkeypatch.setattr(fem, "solve_state",
@@ -250,6 +248,26 @@ class TestEllipticProblem:
         assert states == []
         elliptic.grad(np.ones(elliptic.dim), xis)
         assert len(states) == 1
+
+    def test_eval_grad_at_zero_skips_the_state_solve_bit_for_bit(
+            self, elliptic, monkeypatch):
+        # the eval set's gradient runs the oracle's chain, so at u = 0 it
+        # solves no state either; 13 samples make chunks of 6, 6 and 1
+        ev = FrozenEvalSet(elliptic, 13, 0)
+        u = np.zeros(elliptic.dim)
+        factor = fem.factor(elliptic.mesh, ev.samples)
+        p = fem.solve_adjoint(factor, fem.solve_state(factor, u),
+                              elliptic.y_d[elliptic.mesh.interior])
+        acc = np.zeros(elliptic.dim)
+        for row in p:
+            acc += row
+        expected = elliptic.alpha * u + acc / len(ev.samples)
+        states = []
+        solve_state = fem.solve_state
+        monkeypatch.setattr(fem, "solve_state",
+                            lambda *a: states.append(a) or solve_state(*a))
+        np.testing.assert_array_equal(ev.smooth_grad(u), expected)
+        assert states == []
 
     def test_averaged_grad_draws_like_sequential_samples(self, elliptic):
         rng1 = np.random.Generator(np.random.Philox(3))
