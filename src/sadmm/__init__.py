@@ -13,7 +13,7 @@ from .optim import (AdaSgSolver, AdmmParams, AdmmSolver, AdmmState,
                     estimate_L, run_solver, theta_next)
 from .harness import (ConfigError, ExperimentConfig, RunRecord, RunRow,
                       emit_csv, envelope, fem_verify, fit_rate_slope,
-                      grad_check, load_csv, run_experiment, sparsity_fraction,
+                      grad_check, run_experiment, sparsity_fraction,
                       sparsity_table)
 from .svgplot import emit_svg
 

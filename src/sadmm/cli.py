@@ -69,8 +69,12 @@ def cmd_compare(args) -> int:
 
 def cmd_sparsity_table(args) -> int:
     cfg = _load_config(args)
+    try:
+        betas = [float(b) for b in args.betas.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"--betas must be comma-separated numbers, "
+                          f"got {args.betas!r}") from exc
     out = _out_dir(cfg)
-    betas = [float(b) for b in args.betas.split(",")]
     table = harness.sparsity_table(cfg, betas)
     payload = {"betas": betas, "fractions": table}
     with open(out / "sparsity_table.json", "w") as fh:

@@ -204,17 +204,15 @@ class RedBlackOrdering:
         # a copy
         index = (bw_s + 1) * np.concatenate([np.arange(n_black), hi]) \
             + np.concatenate([np.full(n_black, bw_s), bw_s + lo - hi])
-        # each entry of S sums its terms in term order. The entries are
-        # ordered by their number of terms, most first, so the k-th terms of
-        # all entries that have one, _schur_terms[k], belong to a prefix.
-        entries, entry = np.unique(index, return_inverse=True)
-        counts = np.bincount(entry, minlength=entries.size)
-        most_first = np.argsort(-counts, kind="stable")
-        self._schur_entries = entries[most_first]
-        by_entry = np.argsort(np.argsort(most_first)[entry], kind="stable")
-        counts = counts[most_first]
-        rank = np.arange(index.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        self._schur_terms = [by_entry[rank == k] for k in range(counts.max(initial=0))]
+        # each entry of S sums its terms in term order, from 0.0: one row per
+        # entry of S's pattern and one column per term, +1 for a black pivot
+        # and -1 for a product
+        self._schur_entries, entry = np.unique(index, return_inverse=True)
+        self._schur_sum = sp.csr_array(
+            (np.repeat([1.0, -1.0], [n_black, lo.size]),
+             (entry, np.arange(index.size))),
+            shape=(self._schur_entries.size, index.size))
+        self._schur_sum.sort_indices()
 
     def _coupling(self, scaled: np.ndarray) -> tuple[sp.csr_array, sp.csc_array]:
         """D_r^-1 E^T as CSR and E D_r^-1 (the same arrays read as CSC),
@@ -432,23 +430,19 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     np.copyto(factor.red_diag, red_diag.T)
     np.copyto(factor.scaled, scaled.T)
 
-    # the terms of S: the black pivots, then the negated products (np.take
-    # into contiguous rows with mode "clip" needs no buffer; the indices are
-    # in range by construction)
+    # the terms of S: the black pivots, then the products (np.take into
+    # contiguous rows with mode "clip" needs no buffer; the indices are in
+    # range by construction)
     left, right = rb._schur_pairs
     terms = np.empty((n_black + left.size, m))
     terms[:n_black] = columns[n_red:n_pivots]
     products = terms[n_black:]
     np.take(coupling, left, axis=0, out=products, mode="clip")
     products *= np.take(scaled, right, axis=0)
-    np.negative(products, out=products)
-    entries = np.zeros((rb._schur_entries.size, m))
-    for k_th in rb._schur_terms:
-        entries[:k_th.size] += np.take(terms, k_th, axis=0)
     # dpbtrf fills in outside S's pattern, so storage is cleared first
     bands = factor.schur.transpose(0, 2, 1).reshape(m, -1)
     bands[...] = 0.0
-    bands[:, rb._schur_entries] = entries.T
+    bands[:, rb._schur_entries] = (rb._schur_sum @ terms).T
     dpbtrf(factor.schur)
     return factor
 

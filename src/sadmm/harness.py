@@ -104,6 +104,12 @@ class ExperimentConfig:
         # values the solver layers would reject once the experiment runs
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ConfigError("alpha and beta must be nonnegative")
+        # the convex rule sets admm's rho to beta; spg, ssg and adasg run
+        # with beta = 0
+        if (self.regime == "convex" and "admm" in self.methods
+                and self.beta == 0.0):
+            raise ConfigError("the convex regime's admm (rho = beta) requires "
+                              "beta > 0")
         if self.u_min >= self.u_max:
             raise ConfigError(f"u_min={self.u_min} must be below u_max={self.u_max}")
         if self.batch_rule not in ("paper_power", "constant"):
@@ -403,14 +409,17 @@ def sparsity_table(cfg: ExperimentConfig, beta_list) -> dict:
         raise ValueError("beta_list must be nonempty")
     rules = {"paper_power": dict(batch_rule="paper_power", batch_floor=1),
              "constant_1": dict(batch_rule="constant", batch_floor=1)}
+    # every config is checked before the first run; sparsity needs no
+    # objective, so one eval sample keeps scoring cheap (200 would add about
+    # 8 s to criterion 10)
+    configs = {name: [replace(cfg, beta=beta, methods=("admm",),
+                              eval_samples=1, **rule) for beta in beta_list]
+               for name, rule in rules.items()}
     table = {}
-    for name, rule in rules.items():
+    for name, rule_configs in configs.items():
         fractions = []
-        for beta in beta_list:
-            # sparsity needs no objective: one eval sample keeps scoring
-            # cheap (200 would add about 8 s to criterion 10)
-            records = run_experiment(replace(cfg, beta=beta, methods=("admm",),
-                                             eval_samples=1, **rule))
+        for beta, rule_cfg in zip(beta_list, rule_configs):
+            records = run_experiment(rule_cfg)
             if len(records) != cfg.runs:
                 raise RuntimeError(f"{cfg.runs - len(records)} of {cfg.runs} "
                                    f"admm runs failed for rule {name} at "
@@ -437,22 +446,6 @@ def emit_csv(rows, path) -> None:
                 ])
     except OSError as exc:
         raise OSError(f"failed writing CSV to {path}: {exc}") from exc
-
-
-def load_csv(path) -> list:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise ValueError(f"unexpected CSV header in {path}: {header}")
-            return [RunRow(k=int(r[0]), sfo_calls=int(r[1]),
-                           wall_seconds=float(r[2]), objective=float(r[3]),
-                           feasibility=float(r[4]), sparsity=float(r[5]),
-                           method=r[6], run_seed=int(r[7]))
-                    for r in reader]
-    except OSError as exc:
-        raise OSError(f"failed reading CSV from {path}: {exc}") from exc
 
 
 @dataclass

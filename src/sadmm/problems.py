@@ -61,18 +61,15 @@ def _lanes(n_items: int):
         yield pool
 
 
-def _in_order(work, items: list, pool: ThreadPoolExecutor | None = None):
+def _in_order(work, items: list, pool: ThreadPoolExecutor | None):
     """work(item) for each item, in item order, on the threads of pool while
-    the caller waits for each result in turn. Without a pool the pass opens
-    its own (_lanes) for its length; one lane runs on the calling thread and
-    starts no thread. A lane's exception is raised here, after the pass has
+    the caller waits for each result in turn, or on the calling thread when
+    pool is None. A lane's exception is raised here, after the pass has
     cancelled its items that no lane started and waited for the ones that
-    are running, so no work of the pass outlives it; a given pool is left
+    are running, so no work of the pass outlives it; the pool is left
     open."""
     if pool is None:
-        with _lanes(len(items)) as pool:
-            yield from (map(work, items) if pool is None
-                        else _in_order(work, items, pool))
+        yield from map(work, items)
         return
     pending = deque(pool.submit(work, item) for item in items)
     try:
@@ -82,6 +79,18 @@ def _in_order(work, items: list, pool: ThreadPoolExecutor | None = None):
         for future in pending:
             future.cancel()
         wait(pending)
+
+
+def _row_mean(stacks, n: int) -> np.ndarray:
+    """The mean of the n rows of stacks, an iterable of stacks of rows: the
+    rows added in order to 0.0 (so a sum of -0.0 is +0.0), then divided by
+    n. Every sample mean of the elliptic oracle and of the eval set is
+    taken here."""
+    total = 0.0
+    for rows in stacks:
+        for row in rows:
+            total += row  # a new array from 0.0, then in place
+    return total / n
 
 
 class EllipticControlProblem:
@@ -194,10 +203,7 @@ class EllipticControlProblem:
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
     def averaged_grad(self, u: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-        acc = np.zeros(self.dim)
-        for g in self.sample_grads(u, rng, m):
-            acc += g
-        return acc / m
+        return _row_mean([self.sample_grads(u, rng, m)], m)
 
 
 class QuadraticProblem:
@@ -263,29 +269,32 @@ class FrozenEvalSet:
     """A sample set drawn once and reused for every telemetry evaluation.
 
     For the elliptic problem the set holds its samples, (n, 4), and no
-    factor or factor storage. Each objective or smooth_grad call assembles
-    and factors the samples _CHUNK at a time (red-black elimination, then a
-    banded Cholesky factor of each black Schur complement) into chunk
-    storage borrowed from the problem (EllipticControlProblem.factored), and
-    a lane is done with a chunk before it factors the next. Scoring a stack
-    of iterates splits the loads, the target and the weights by colour once,
-    then costs one multi-right-hand-side solve per sample, on its stack of
-    one, for up to _COLUMNS iterates at a time. So a caller that scores
-    every iterate of an experiment in one objective call factors each sample
-    once. optimum and smooth_lipschitz factor every sample once per call
-    into storage of their own and reuse those factors for all their
-    gradients and for optimum's final scoring. The quadratic problem's
-    smooth value does not depend on the sample, so it draws no samples and
-    scores each iterate once.
+    factor or factor storage. Every value it gives is a sample mean, taken
+    by one pass function, mean(work): the mean (_row_mean) of the rows of
+    work(factors) over the factors of each chunk of _CHUNK samples
+    (red-black elimination, then a banded Cholesky factor of each black
+    Schur complement). Each public call picks its pass function once.
+    objective and smooth_grad stream (_streamed): each lane factors a chunk
+    into storage borrowed from the problem (EllipticControlProblem.factored)
+    and is done with it before it factors the next. optimum and
+    smooth_lipschitz, which make a pass per gradient, hold their factors
+    (_held): every chunk is factored once into storage of its own, for all
+    their gradients and optimum's final scoring. Scoring a stack of iterates
+    splits the loads, the target and the weights by colour once, then costs
+    one multi-right-hand-side solve per sample, on its stack of one, for up
+    to _COLUMNS iterates at a time. So a caller that scores every iterate of
+    an experiment in one objective call factors each sample once. The
+    quadratic problem's smooth value does not depend on the sample, so it
+    draws no samples and scores each iterate once.
 
     Every pass over the samples (_in_order) runs one lane per CPU the
     process may use (os.sched_getaffinity), each lane factoring and solving
     whole chunks with BLAS at one thread per call. With more than one lane
     the lanes are pool threads and the calling thread waits for their
-    results; optimum and smooth_lipschitz, which make a pass per gradient,
-    keep one pool for the whole call. The results come back in sample order
-    and are added in it, so every value is the same, bit for bit, whatever
-    the number of lanes.
+    results; a streamed pass opens a pool of its own, and a held block one
+    pool for all its passes. The results come back in sample order and are
+    added in it, so every value is the same, bit for bit, whatever the
+    number of lanes.
     """
 
     def __init__(self, problem, n_samples: int, seed):
@@ -323,25 +332,22 @@ class FrozenEvalSet:
         every reduction is row-wise (wdot_rows, weighted_l1_rows), and each
         iterate sums its samples in sample order.
         """
-        return self._objective(u)
+        return self._objective(u, self._streamed)
 
-    def _objective(self, u: np.ndarray, pool: ThreadPoolExecutor | None = None,
-                   factored: list | None = None) -> float | np.ndarray:
-        """objective, with the elliptic pass on pool when one is given and on
-        the held factors of every chunk when given (see _factor_pass)."""
+    def _objective(self, u: np.ndarray, mean) -> float | np.ndarray:
+        """objective, with the elliptic sample means taken by mean."""
         us = np.atleast_2d(u)
         prob = self.problem
         if len(self.samples):
-            smooth = self._smooth_values(us, pool, factored)
+            smooth = self._smooth_values(us, mean)
         else:
             smooth = np.array([prob.smooth_value(x) for x in us])
         values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
         return float(values[0]) if np.ndim(u) == 1 else values
 
-    def _smooth_values(self, us: np.ndarray, pool: ThreadPoolExecutor | None,
-                       factored: list | None) -> np.ndarray:
+    def _smooth_values(self, us: np.ndarray, mean) -> np.ndarray:
         """The elliptic mean smooth value of each row of us, (k, dim), a
-        chunk of samples per item of one pass (_factor_pass)."""
+        chunk of samples per item of one pass of mean."""
         prob = self.problem
         w = prob.weights
         alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
@@ -366,62 +372,55 @@ class FrozenEvalSet:
                     row[cols] = 0.5 * (sq + self._boundary_sq) + alpha_terms[cols]
             return out
 
-        smooth = np.zeros(len(us))
-        for rows in self._factor_pass(terms, pool, factored):
-            for row in rows:
-                smooth += row
-        return smooth / len(self.samples)
+        return mean(terms)
 
     def smooth_grad(self, u: np.ndarray) -> np.ndarray:
         """Exact gradient at u of the elliptic eval set's mean smooth value;
         factors every sample once."""
-        return self._smooth_grad(u)
+        return self._smooth_grad(u, self._streamed)
 
-    def _smooth_grad(self, u: np.ndarray, y_d: np.ndarray | None = None,
-                     factored: list | None = None,
-                     pool: ThreadPoolExecutor | None = None) -> np.ndarray:
+    def _smooth_grad(self, u: np.ndarray, mean,
+                     y_d: np.ndarray | None = None) -> np.ndarray:
         """The gradient at u for the interior target y_d (defaults to the
-        problem's): the oracle's adjoint chain (_adjoints) per chunk of
-        samples, summed in sample order, in one pass (_factor_pass)."""
+        problem's): the mean, taken by mean, of the oracle's adjoint chain
+        (_adjoints) over the samples."""
         prob = self.problem
-        acc = np.zeros(prob.dim)
-        for rows in self._factor_pass(
-                lambda factors: prob._adjoints(factors, u, y_d), pool, factored):
-            for p in rows:
-                acc += p
-        return prob.alpha * u + acc / len(self.samples)
+        return prob.alpha * u + mean(
+            lambda factors: prob._adjoints(factors, u, y_d))
 
-    def _factor_pass(self, work, pool: ThreadPoolExecutor | None,
-                     factored: list | None):
-        """work(factors) for the factors of each chunk of samples, in sample
-        order, in one pass (_in_order on pool); the only place a pass gets a
-        chunk's factors. Each lane factors its chunks into storage borrowed
-        from the problem (EllipticControlProblem.factored), unless the
-        factors of every chunk are given (factored, from _factor_all)."""
-        if factored is not None:
-            return _in_order(work, factored, pool)
-        prob = self.problem
+    def _streamed(self, work) -> np.ndarray:
+        """The sample mean of the rows of work(factors) in one pass on a
+        pool of its own (_lanes), each lane factoring its chunks into storage
+        borrowed from the problem (EllipticControlProblem.factored)."""
+        prob, chunks = self.problem, _chunks(self.samples)
 
-        def streamed(chunk: np.ndarray):
+        def borrowed(chunk: np.ndarray):
             with prob.factored(chunk) as factors:
                 return work(factors)
 
-        return _in_order(streamed, _chunks(self.samples), pool)
+        with _lanes(len(chunks)) as pool:
+            return _row_mean(_in_order(borrowed, chunks, pool),
+                             len(self.samples))
 
-    def _factor_all(self, pool: ThreadPoolExecutor | None) -> list:
-        """The factors of every sample, chunk by chunk, in new storage."""
-        mesh = self.problem.mesh
-        return list(_in_order(lambda chunk: fem.factor(mesh, chunk),
-                              _chunks(self.samples), pool))
+    @contextmanager
+    def _held(self):
+        """A block's pass function, like _streamed but on factors held for
+        the block: every chunk is factored once into storage of its own, and
+        every pass runs on one pool."""
+        mesh, chunks = self.problem.mesh, _chunks(self.samples)
+        with _lanes(len(chunks)) as pool:
+            factored = list(_in_order(lambda chunk: fem.factor(mesh, chunk),
+                                      chunks, pool))
+            yield lambda work: _row_mean(_in_order(work, factored, pool),
+                                         len(self.samples))
 
     def smooth_lipschitz(self) -> float:
         """Lipschitz constant of smooth_grad in the W-norm (see _lipschitz);
         factors every sample once, and every pass runs on one pool."""
-        with _lanes(len(_chunks(self.samples))) as pool:
-            return self._lipschitz(self._factor_all(pool), pool)
+        with self._held() as mean:
+            return self._lipschitz(mean)
 
-    def _lipschitz(self, factored: list,
-                   pool: ThreadPoolExecutor | None) -> float:
+    def _lipschitz(self, mean) -> float:
         """Power iteration on the gradient for a zero target, which is linear
         in u, with a 1% margin because power iteration approaches the top
         eigenvalue from below."""
@@ -430,7 +429,7 @@ class FrozenEvalSet:
         v = np.ones(len(w)) / wnorm(np.ones(len(w)), w)
         L = 0.0
         for _ in range(100):
-            hv = self._smooth_grad(v, no_target, factored, pool)
+            hv = self._smooth_grad(v, mean, no_target)
             L_prev, L = L, wdot(v, hv, w)
             v = hv / wnorm(hv, w)
             if abs(L - L_prev) <= 1e-10 * L:
@@ -441,13 +440,10 @@ class FrozenEvalSet:
         """The exact minimizer of the elliptic eval-set objective. Every
         sample is factored once, and those factors serve every gradient and
         the final scoring; every pass runs on one pool."""
-        with _lanes(len(_chunks(self.samples))) as pool:
-            factored = self._factor_all(pool)
+        with self._held() as mean:
             return _prox_gradient(
-                self.problem,
-                lambda u: self._smooth_grad(u, factored=factored, pool=pool),
-                self._lipschitz(factored, pool),
-                lambda u: self._objective(u, pool, factored))
+                self.problem, lambda u: self._smooth_grad(u, mean),
+                self._lipschitz(mean), lambda u: self._objective(u, mean))
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 from sadmm import fem
 from sadmm.harness import (ExperimentConfig, build_eval_set, build_problem,
                            envelope, fem_verify, fit_loglog_slope,
-                           fit_rate_slope, grad_check, load_csv, mean_by_k,
+                           fit_rate_slope, grad_check, mean_by_k,
                            mean_final, run_experiment, sparsity_table)
 from sadmm.hilbert import soft_threshold
 from sadmm.optim import theta_next
@@ -233,9 +233,9 @@ def test_criterion_12_determinism(capsys, tmp_path):
                 lines.append(",".join(cells))
         return lines
 
-    identical = (stable_lines(tmp_path / "a" / "records.csv")
-                 == stable_lines(tmp_path / "b" / "records.csv"))
-    n_rows = len(load_csv(tmp_path / "a" / "records.csv"))
+    lines = stable_lines(tmp_path / "a" / "records.csv")
+    identical = lines == stable_lines(tmp_path / "b" / "records.csv")
+    n_rows = len(lines) - 1  # the header
     report(capsys, 12, identical,
            f"re-run CSV byte-identical outside wall_seconds "
            f"({n_rows} telemetry rows)")

@@ -98,6 +98,42 @@ class TestExitCodes:
         assert err.startswith("configuration error") and field in err
         assert not out.exists()
 
+    def test_convex_admm_without_beta_fails_before_running(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # the convex rule sets admm's rho to beta; sparsity-table's default
+        # betas start at 0
+        monkeypatch.setattr(cli.harness, "run_experiment", None)
+        cfg = write_cfg(tmp_path, regime="convex", alpha=0.0, beta=0.0)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        convex = write_cfg(tmp_path, regime="convex", alpha=0.0)
+        assert cli.main(["sparsity-table", "--config", str(convex),
+                         "--out", str(out)]) == 2
+        assert cli.main(["sparsity-table", "--config", str(convex),
+                         "--out", str(out), "--betas", "0.05,0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert all(line.startswith("configuration error") and "beta > 0"
+                   in line for line in err)
+
+    def test_convex_methods_without_admm_run_with_zero_beta(self, tmp_path):
+        cfg = write_cfg(tmp_path, regime="convex", alpha=0.0, beta=0.0,
+                        methods=["spg", "ssg", "adasg"])
+        assert cli.main(["run", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("betas", ["0,abc", ""])
+    def test_bad_betas_are_config_error(self, tmp_path, monkeypatch, capsys,
+                                        betas):
+        monkeypatch.setattr(cli.harness, "sparsity_table", None)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["sparsity-table", "--config", str(cfg),
+                         "--out", str(out), "--betas", betas]) == 2
+        assert "--betas" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rate_requires_reference_problem(self, tmp_path):
         cfg = write_cfg(tmp_path, problem="elliptic",
                         alpha=1e-4, mesh_h=0.25)

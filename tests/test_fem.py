@@ -327,6 +327,37 @@ class TestSolves:
                 assert info == 0
                 np.testing.assert_array_equal(x[i], want)
 
+    @pytest.mark.parametrize("level", [3, 4])
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_schur_band_sums_each_entry_in_term_order(self, monkeypatch,
+                                                      level, m):
+        # the band dpbtrf receives, against each entry of S = D_b -
+        # E D_r^-1 E^T summed one term at a time from 0.0: the black pivot,
+        # then minus E[b, r] * (E[b', r] / D_r[r]) for each red r in order.
+        # Bit for bit, so a change of summation order shows
+        mesh = fem.build_mesh(2.0 ** -level)
+        rb = fem._geometry(mesh).red_black
+        stencil = fem.assemble(mesh, np.random.default_rng(level).uniform(
+            -1, 1, size=(m, 4)))
+        with monkeypatch.context() as patch:
+            patch.setattr(fem, "dpbtrf", lambda bands: None)
+            bands = fem.red_black_cholesky(stencil, mesh).schur
+        expected = np.zeros(bands.shape)
+        bw = bands.shape[1] - 1
+        for band, values in zip(expected, stencil):
+            A = stencil_dense(mesh, values)
+            K_rb = A[np.ix_(rb.black, rb.red)]
+            d_r = A[rb.red, rb.red]
+            for q in range(rb.black.size):
+                for p in range(max(0, q - bw), q + 1):
+                    total = 0.0
+                    if p == q:
+                        total += A[rb.black[p], rb.black[p]]
+                    for r in np.nonzero(K_rb[p] * K_rb[q])[0]:
+                        total -= K_rb[p, r] * (K_rb[q, r] / d_r[r])
+                    band[bw + p - q, q] = total
+        assert np.ascontiguousarray(bands).tobytes() == expected.tobytes()
+
     def test_lapack_binding_checks_layout(self, factor4):
         # LAPACK reads raw memory: a C-ordered block, a read-only array or
         # another dtype must be refused before any call

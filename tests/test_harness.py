@@ -1,5 +1,6 @@
 """Experiment orchestration: configs, telemetry, artifacts, statistics."""
 
+import csv
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -12,8 +13,8 @@ from sadmm import harness, problems
 from sadmm.harness import (CSV_HEADER, ConfigError, ExperimentConfig, RunRow,
                            build_problem, emit_csv, envelope, fem_verify,
                            fit_loglog_slope, fit_rate_slope, grad_check,
-                           load_csv, mean_by_k, run_experiment,
-                           sparsity_fraction, sparsity_table)
+                           mean_by_k, run_experiment, sparsity_fraction,
+                           sparsity_table)
 from sadmm.optim import NumericalFailure
 from sadmm.problems import (EllipticControlProblem, FrozenEvalSet,
                             QuadraticProblem)
@@ -129,25 +130,26 @@ class TestCsv:
                        sparsity=1.0, method="spg", run_seed=7)]
 
     def test_round_trip_exact(self, tmp_path):
+        # floats are written as repr, so each cell reads back to its value
         path = tmp_path / "rows.csv"
         rows = self._rows()
         emit_csv(rows, path)
-        assert load_csv(path) == rows
+        with open(path, newline="") as fh:
+            header, *cells = csv.reader(fh)
+        assert header == CSV_HEADER and len(cells) == len(rows)
+        for row, line in zip(rows, cells):
+            assert line[0] == str(row.k) and line[1] == str(row.sfo_calls)
+            for cell, value in zip(line[2:6], (row.wall_seconds, row.objective,
+                                               row.feasibility, row.sparsity)):
+                assert float(cell) == value
+            assert line[6:] == [row.method, str(row.run_seed)]
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "rows.csv"
         emit_csv([], path)
         assert path.read_text().strip() == ",".join(CSV_HEADER)
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("k,objective\n1,2.0\n")
-        with pytest.raises(ValueError, match="unexpected CSV header"):
-            load_csv(path)
-
     def test_io_errors_wrapped(self, tmp_path):
-        with pytest.raises(OSError, match="failed reading"):
-            load_csv(tmp_path / "absent.csv")
         with pytest.raises(OSError, match="failed writing"):
             emit_csv([], tmp_path / "no_dir" / "rows.csv")
 
@@ -196,13 +198,15 @@ class TestRunExperiment:
         cfg = tiny_quadratic_cfg(methods=("admm", "ssg"))
         run_experiment(cfg, out_dir=tmp_path / "a")
         run_experiment(cfg, out_dir=tmp_path / "b")
-        rows_a = load_csv(tmp_path / "a" / "records.csv")
-        rows_b = load_csv(tmp_path / "b" / "records.csv")
-        for ra, rb in zip(rows_a, rows_b):
-            assert (ra.k, ra.sfo_calls, ra.objective, ra.feasibility,
-                    ra.sparsity, ra.method, ra.run_seed) == \
-                   (rb.k, rb.sfo_calls, rb.objective, rb.feasibility,
-                    rb.sparsity, rb.method, rb.run_seed)
+
+        def stable_cells(out):
+            # every cell but wall_seconds
+            with open(out / "records.csv", newline="") as fh:
+                return [line[:2] + line[3:] for line in csv.reader(fh)]
+
+        cells = stable_cells(tmp_path / "a")
+        assert len(cells) == 1 + len(cfg.methods) * cfg.runs * cfg.K
+        assert cells == stable_cells(tmp_path / "b")
 
     def test_runs_differ_across_run_index(self):
         cfg = tiny_quadratic_cfg(methods=("admm",), runs=3)

@@ -205,6 +205,19 @@ class TestEllipticProblem:
                           for _ in range(3)], axis=0)
         np.testing.assert_allclose(avg, manual, rtol=1e-14)
 
+    def test_row_mean_adds_rows_in_order_from_zero(self):
+        # every sample mean: rows of stacks of any size, added in order to
+        # 0.0, so a column of -0.0 averages to +0.0
+        rows = np.random.default_rng(21).standard_normal((6, 4)) * 10.0 ** \
+            np.arange(-8, 16, 6)
+        rows[:, 0] = -0.0
+        total = np.zeros(4)
+        for row in rows:
+            total = total + row
+        got = problems._row_mean([rows[:1], rows[1:4], rows[4:]], 6)
+        assert got.tobytes() == (total / 6).tobytes()
+        assert not np.signbit(got[0])
+
     @pytest.mark.parametrize("level", [3, 5])
     def test_stacked_grad_matches_reference_solves(self, level):
         # state and adjoint by spsolve on an independent COO assembly; the
