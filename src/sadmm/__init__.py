@@ -1,12 +1,12 @@
 """Stochastic splitting solver for nonsmooth composite convex problems,
 with sparse optimal control of a random-coefficient elliptic PDE."""
 
-from .hilbert import project_box, soft_threshold, wdot, weighted_l1, wnorm
+from .hilbert import project_box, soft_threshold, wdot, wnorm
 from .fem import (StructuredMesh, assemble, build_mesh, checkerboard_target,
                   coefficient, factor, interpolate, l2_error, lumped_weights,
                   solve_adjoint, solve_state)
 from .problems import (EllipticControlProblem, FrozenEvalSet,
-                       QuadraticProblem, nonsmooth_value, reference_optimum)
+                       QuadraticProblem, reference_optimum)
 from .optim import (AdaSgSolver, AdmmParams, AdmmSolver, AdmmState,
                     BatchSchedule, NumericalFailure, SpgSolver, SsgSolver,
                     derive_convex_params, derive_strongly_convex_params,

@@ -30,8 +30,9 @@ def _load_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "methods", None):
-        overrides["methods"] = tuple(args.methods.split(","))
+    if getattr(args, "methods", None) is not None:
+        # --methods "" names no method, as "methods": [] does
+        overrides["methods"] = args.methods.split(",") if args.methods else []
     if getattr(args, "paper_scale", False):
         overrides["runs"] = PAPER_SCALE_RUNS
         overrides["eval_samples"] = PAPER_SCALE_EVAL_SAMPLES

@@ -202,9 +202,12 @@ def _run_rng(cfg: ExperimentConfig, method: str, run_idx: int):
     return np.random.Generator(np.random.Philox(ss)), run_seed
 
 
-def build_eval_set(cfg: ExperimentConfig, problem) -> FrozenEvalSet:
-    """The frozen evaluation set on which every method of the experiment
-    configured by cfg is scored."""
+def build_eval_set(cfg: ExperimentConfig, problem):
+    """What every method of the experiment configured by cfg is scored on:
+    the quadratic problem itself, whose objective is exact, or the elliptic
+    problem's frozen evaluation set of cfg.eval_samples samples."""
+    if isinstance(problem, QuadraticProblem):
+        return problem
     return FrozenEvalSet(problem, cfg.eval_samples, (cfg.seed, _EVAL_TAG))
 
 
@@ -242,19 +245,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
 
     All methods share the frozen evaluation sample set and the batch
     schedule, hence identical oracle budgets per iteration. Iterates are
-    scored on the eval set after their run, so wall_seconds (optimization
+    scored after their run (build_eval_set), so wall_seconds (optimization
     time) excludes scoring. An elliptic eval set factors every sample on
     each objective call, so the iterates of every finished elliptic run are
     kept and scored in one call after the last run, in (method, run, k)
     order: each eval sample is assembled and factored once per experiment.
-    The quadratic eval set draws no samples, so each quadratic run is scored
-    as soon as it finishes and its iterates are not kept.
+    The quadratic problem scores itself exactly, so each quadratic run is
+    scored as soon as it finishes and its iterates are not kept.
     Returns one RunRecord per (method, run), in that order; failed runs are
     logged and skipped so that the remaining runs still complete. A failure
     while scoring drops every run of that scoring call.
     """
     problem = build_problem(cfg)
-    eval_set = build_eval_set(cfg, problem)
+    scorer = build_eval_set(cfg, problem)
     batch = BatchSchedule(rule=cfg.batch_rule, floor=cfg.batch_floor)
 
     needs_l = cfg.regime == "convex" or "spg" in cfg.methods
@@ -271,7 +274,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
         try:
             # objective at the feasible iterate u; z is reported through
             # sparsity/feasibility (the split pair can undercut the optimum)
-            objectives = eval_set.objective(
+            objectives = scorer.objective(
                 np.stack([u for *_, iterates in pending for u in iterates]))
         except Exception:
             for run_idx, rec, _ in pending:
@@ -311,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
                 logger.exception("run failed: method=%s run=%d", method, run_idx)
                 continue
             pending.append((run_idx, rec, iterates))
-            if len(eval_set.samples) == 0:
+            if scorer is problem:
                 score()
     if pending:
         score()
@@ -370,9 +373,9 @@ def mean_by_k(records, method: str, field: str) -> tuple[np.ndarray, np.ndarray]
 
 
 def mean_final(records, field: str) -> float:
-    """The mean over runs of a RunRow field's final value, in run order (from
-    8 runs on, mean_by_k's last entry can differ from it in the last bit)."""
-    return float(np.mean([getattr(rec.rows[-1], field) for rec in records]))
+    """The mean over runs of a RunRow field's final value: the last entry of
+    the per-iteration mean that mean_by_k and envelope take."""
+    return float(_by_run(records, field)[1].mean(axis=0)[-1])
 
 
 def fit_loglog_slope(k: np.ndarray, values: np.ndarray,

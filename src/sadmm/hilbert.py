@@ -77,14 +77,10 @@ def soft_threshold(a: np.ndarray, t) -> np.ndarray:
     return np.sign(a) * np.maximum(np.abs(a) - t, 0.0)
 
 
-def weighted_l1(a: np.ndarray, w: np.ndarray) -> float:
-    """Lumped quadrature of the L1 norm: sum_i w_i |a_i|."""
-    return wdot(np.abs(np.asarray(a, dtype=float)), np.ones_like(w), w)
-
-
 def weighted_l1_rows(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise weighted_l1 of a (k, n) stack: sum_j w_j |a_ij|. Each row's
-    value is the same bit for bit whatever k is."""
+    """Row-wise lumped quadrature of the L1 norm of a (k, n) stack:
+    sum_j w_j |a_ij|. Each row's value is the same bit for bit whatever k
+    is."""
     a = np.abs(np.asarray(a, dtype=float))
     w = np.asarray(w, dtype=float)
     if a.ndim != 2 or a.shape[1:] != w.shape:

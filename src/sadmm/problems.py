@@ -19,7 +19,7 @@ import numpy as np
 
 from . import fem
 from .hilbert import (project_box, soft_threshold, wdot, wdot_rows,
-                      weighted_l1, weighted_l1_rows, wnorm)
+                      weighted_l1_rows, wnorm)
 
 # Oracle samples, and eval samples whenever the eval set needs their
 # factors, are assembled and factored in stacks of this many: larger stacks
@@ -115,7 +115,6 @@ class EllipticControlProblem:
     """
 
     def __init__(self, mesh: fem.StructuredMesh, alpha: float, beta: float,
-                 y_d: np.ndarray | None = None,
                  u_min: float = -6.0, u_max: float = 6.0):
         if alpha < 0.0 or beta < 0.0:
             raise ValueError("alpha and beta must be nonnegative")
@@ -128,9 +127,8 @@ class EllipticControlProblem:
         self.u_max = u_max
         self.state_weights = fem.lumped_weights(mesh)
         self.weights = self.state_weights[mesh.interior]
-        self.y_d = fem.checkerboard_target(mesh) if y_d is None else np.asarray(y_d, float)
-        if self.y_d.shape != (mesh.n_nodes,):
-            raise ValueError("y_d does not match the mesh")
+        self.y_d = fem.checkerboard_target(mesh)
+        self.y_d_interior = self.y_d[mesh.interior]
         # the free list of factor storage for _CHUNK samples (see factored)
         self._free = queue.SimpleQueue()
 
@@ -187,7 +185,7 @@ class EllipticControlProblem:
         y = (fem.solve_state(factors, u) if np.any(u)
              else np.zeros((len(factors), self.dim)))
         return fem.solve_adjoint(
-            factors, y, self.y_d[self.mesh.interior] if y_d is None else y_d)
+            factors, y, self.y_d_interior if y_d is None else y_d)
 
     def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
         """The per-sample gradients at u of n fresh samples, in draw order,
@@ -235,9 +233,16 @@ class QuadraticProblem:
     def exact_grad(self, u: np.ndarray) -> np.ndarray:
         return self.A.T @ (self.A @ u - self.b) + self.alpha * u
 
-    def smooth_value(self, u: np.ndarray, sample: np.ndarray | None = None) -> float:
+    def smooth_value(self, u: np.ndarray) -> float:
         r = self.A @ u - self.b
         return 0.5 * float(r @ r) + 0.5 * self.alpha * float(u @ u)
+
+    def objective(self, u: np.ndarray) -> float | np.ndarray:
+        """The exact objective at u (dim,), a float, or at each row of a
+        stack of iterates (k, dim), k values; each row is scored alone, so
+        its value does not depend on the stack."""
+        return _plus_l1(self, u, np.array(
+            [self.smooth_value(x) for x in np.atleast_2d(u)]))
 
     def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
         """The per-sample gradients at u of n fresh noise draws, in draw order:
@@ -260,20 +265,26 @@ class QuadraticProblem:
         return float(np.linalg.eigvalsh(self.A.T @ self.A)[-1]) + self.alpha
 
 
-def nonsmooth_value(problem, u: np.ndarray) -> float:
-    """beta * lumped L1 norm of u."""
-    return problem.beta * weighted_l1(u, problem.weights)
+def _plus_l1(problem, u: np.ndarray, smooth: np.ndarray) -> float | np.ndarray:
+    """The objective of either problem: smooth, the smooth values of the
+    rows of np.atleast_2d(u), plus problem.beta times each row's lumped L1
+    norm (weighted_l1_rows); a float for one iterate u (dim,), k values for
+    a stack (k, dim)."""
+    values = smooth + problem.beta * weighted_l1_rows(np.atleast_2d(u),
+                                                       problem.weights)
+    return float(values[0]) if np.ndim(u) == 1 else values
 
 
 class FrozenEvalSet:
-    """A sample set drawn once and reused for every telemetry evaluation.
+    """The elliptic problem's sample set, drawn once and reused for every
+    telemetry evaluation (the quadratic problem scores itself exactly).
 
-    For the elliptic problem the set holds its samples, (n, 4), and no
-    factor or factor storage. Every value it gives is a sample mean, taken
-    by one pass function, mean(work): the mean (_row_mean) of the rows of
-    work(factors) over the factors of each chunk of _CHUNK samples
-    (red-black elimination, then a banded Cholesky factor of each black
-    Schur complement). Each public call picks its pass function once.
+    The set holds its samples, (n, 4), and no factor or factor storage.
+    Every value it gives is a sample mean, taken by one pass function,
+    mean(work): the mean (_row_mean) of the rows of work(factors) over the
+    factors of each chunk of _CHUNK samples (red-black elimination, then a
+    banded Cholesky factor of each black Schur complement). Each public
+    call picks its pass function once.
     objective and smooth_grad stream (_streamed): each lane factors a chunk
     into storage borrowed from the problem (EllipticControlProblem.factored)
     and is done with it before it factors the next. optimum and
@@ -283,9 +294,7 @@ class FrozenEvalSet:
     splits the loads, the target and the weights by colour once, then costs
     one multi-right-hand-side solve per sample, on its stack of one, for up
     to _COLUMNS iterates at a time. So a caller that scores every iterate of
-    an experiment in one objective call factors each sample once. The
-    quadratic problem's smooth value does not depend on the sample, so it
-    draws no samples and scores each iterate once.
+    an experiment in one objective call factors each sample once.
 
     Every pass over the samples (_in_order) runs one lane per CPU the
     process may use (os.sched_getaffinity), each lane factoring and solving
@@ -297,58 +306,46 @@ class FrozenEvalSet:
     number of lanes.
     """
 
-    def __init__(self, problem, n_samples: int, seed):
+    def __init__(self, problem: EllipticControlProblem, n_samples: int, seed):
+        if not isinstance(problem, EllipticControlProblem):
+            raise TypeError(f"FrozenEvalSet samples an EllipticControlProblem, "
+                            f"got {type(problem).__name__}")
         if n_samples < 1:
             raise ValueError("eval_samples must be >= 1")
         self.problem = problem
-        self.samples = []
         # No per-sample operators are kept; perfbench/child.py reads _ops.
         self._ops = None
-        if isinstance(problem, EllipticControlProblem):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(seed)))
-            self.samples = problem.draw_samples(rng, n_samples)
-            mesh = problem.mesh
-            rb = fem._geometry(mesh).red_black
-            y_d = problem.y_d[mesh.interior]
-            # (nodes, target, weights) of the red and of the black nodes
-            self._colours = [(idx, y_d[idx], problem.weights[idx])
-                             for idx in (rb.red, rb.black)]
-            # the state vanishes on the boundary, so the boundary share of
-            # ||y - y_d||_W^2 is the same for every u and every sample
-            y_d_b = problem.y_d[mesh.boundary_mask]
-            self._boundary_sq = wdot(y_d_b, y_d_b,
-                                     problem.state_weights[mesh.boundary_mask])
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        self.samples = problem.draw_samples(rng, n_samples)
+        mesh = problem.mesh
+        rb = fem._geometry(mesh).red_black
+        # (nodes, target, weights) of the red and of the black nodes
+        self._colours = [(idx, problem.y_d_interior[idx], problem.weights[idx])
+                         for idx in (rb.red, rb.black)]
+        # the state vanishes on the boundary, so the boundary share of
+        # ||y - y_d||_W^2 is the same for every u and every sample
+        y_d_b = problem.y_d[mesh.boundary_mask]
+        self._boundary_sq = wdot(y_d_b, y_d_b,
+                                 problem.state_weights[mesh.boundary_mask])
 
     def objective(self, u: np.ndarray) -> float | np.ndarray:
         """Mean smooth value at u plus the L1 term at u.
 
         Accepts u of shape (dim,), returning a float, or a stack of iterates
         of shape (k, dim), returning k values; vectorized over the leading
-        axis. An elliptic call factors every sample once, whatever k is, so
-        a caller with many iterates scores them in one call. Every value
-        equals the one a single-iterate call gives, bit for bit: a sample's
-        factor solves the loads of many iterates column by column alike,
-        every reduction is row-wise (wdot_rows, weighted_l1_rows), and each
+        axis. A call factors every sample once, whatever k is, so a caller
+        with many iterates scores them in one call. Every value equals the
+        one a single-iterate call gives, bit for bit: a sample's factor
+        solves the loads of many iterates column by column alike, every
+        reduction is row-wise (wdot_rows, weighted_l1_rows), and each
         iterate sums its samples in sample order.
         """
-        return self._objective(u, self._streamed)
+        return _plus_l1(self.problem, u, self._smooth_values(u, self._streamed))
 
-    def _objective(self, u: np.ndarray, mean) -> float | np.ndarray:
-        """objective, with the elliptic sample means taken by mean."""
-        us = np.atleast_2d(u)
-        prob = self.problem
-        if len(self.samples):
-            smooth = self._smooth_values(us, mean)
-        else:
-            smooth = np.array([prob.smooth_value(x) for x in us])
-        values = smooth + prob.beta * weighted_l1_rows(us, prob.weights)
-        return float(values[0]) if np.ndim(u) == 1 else values
-
-    def _smooth_values(self, us: np.ndarray, mean) -> np.ndarray:
-        """The elliptic mean smooth value of each row of us, (k, dim), a
-        chunk of samples per item of one pass of mean."""
-        prob = self.problem
+    def _smooth_values(self, u: np.ndarray, mean) -> np.ndarray:
+        """The mean smooth value of each row of np.atleast_2d(u), (k, dim),
+        a chunk of samples per item of one pass of mean."""
+        prob, us = self.problem, np.atleast_2d(u)
         w = prob.weights
         alpha_terms = 0.5 * prob.alpha * wdot_rows(us, us, w)
         # the lumped loads W u, one column per iterate, split by colour into
@@ -375,8 +372,8 @@ class FrozenEvalSet:
         return mean(terms)
 
     def smooth_grad(self, u: np.ndarray) -> np.ndarray:
-        """Exact gradient at u of the elliptic eval set's mean smooth value;
-        factors every sample once."""
+        """Exact gradient at u of the eval set's mean smooth value; factors
+        every sample once."""
         return self._smooth_grad(u, self._streamed)
 
     def _smooth_grad(self, u: np.ndarray, mean,
@@ -437,13 +434,15 @@ class FrozenEvalSet:
         return 1.01 * L
 
     def optimum(self) -> ReferenceOptimum:
-        """The exact minimizer of the elliptic eval-set objective. Every
-        sample is factored once, and those factors serve every gradient and
-        the final scoring; every pass runs on one pool."""
+        """The exact minimizer of the eval-set objective. Every sample is
+        factored once, and those factors serve every gradient and the final
+        scoring; every pass runs on one pool."""
+        prob = self.problem
         with self._held() as mean:
             return _prox_gradient(
-                self.problem, lambda u: self._smooth_grad(u, mean),
-                self._lipschitz(mean), lambda u: self._objective(u, mean))
+                prob, lambda u: self._smooth_grad(u, mean),
+                self._lipschitz(mean),
+                lambda u: _plus_l1(prob, u, self._smooth_values(u, mean)))
 
 
 @dataclass
@@ -485,6 +484,5 @@ def _prox_gradient(problem, grad, L: float, objective) -> ReferenceOptimum:
 
 def reference_optimum(problem: QuadraticProblem) -> ReferenceOptimum:
     """The minimizer of the noise-free quadratic problem (see _prox_gradient)."""
-    return _prox_gradient(
-        problem, problem.exact_grad, problem.smooth_lipschitz(),
-        lambda u: problem.smooth_value(u) + nonsmooth_value(problem, u))
+    return _prox_gradient(problem, problem.exact_grad,
+                          problem.smooth_lipschitz(), problem.objective)

@@ -83,6 +83,20 @@ class TestExitCodes:
         assert err.startswith("configuration error") and "methods" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "compare", "envelope", "rate"])
+    def test_empty_methods_override_is_config_error(self, tmp_path, monkeypatch,
+                                                    capsys, command):
+        # --methods "" names no method, as "methods": [] does; it must not
+        # fall back to the config's methods
+        monkeypatch.setattr(cli.harness, "run_experiment", None)
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                         "--methods", ""]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and "methods" in err
+        assert not out.exists()
+
     def test_string_methods_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, methods="admm")
         assert cli.main(["run", "--config", str(cfg)]) == 2

@@ -10,11 +10,11 @@ import pytest
 from scipy.linalg import LinAlgError
 
 from sadmm import harness, problems
-from sadmm.harness import (CSV_HEADER, ConfigError, ExperimentConfig, RunRow,
-                           build_problem, emit_csv, envelope, fem_verify,
-                           fit_loglog_slope, fit_rate_slope, grad_check,
-                           mean_by_k, run_experiment, sparsity_fraction,
-                           sparsity_table)
+from sadmm.harness import (CSV_HEADER, ConfigError, ExperimentConfig,
+                           RunRecord, RunRow, build_problem, emit_csv,
+                           envelope, fem_verify, fit_loglog_slope,
+                           fit_rate_slope, grad_check, mean_by_k, mean_final,
+                           run_experiment, sparsity_fraction, sparsity_table)
 from sadmm.optim import NumericalFailure
 from sadmm.problems import (EllipticControlProblem, FrozenEvalSet,
                             QuadraticProblem)
@@ -267,7 +267,7 @@ class TestFailedRuns:
 
     def test_failure_while_scoring(self, monkeypatch, caplog):
         clean = run_experiment(self.cfg)
-        objective = FrozenEvalSet.objective
+        objective = QuadraticProblem.objective
         calls = []
 
         def fail_second_call(self, u):
@@ -276,7 +276,7 @@ class TestFailedRuns:
                 raise FloatingPointError("scoring failed")
             return objective(self, u)
 
-        monkeypatch.setattr(FrozenEvalSet, "objective", fail_second_call)
+        monkeypatch.setattr(QuadraticProblem, "objective", fail_second_call)
         records = run_experiment(self.cfg)
         assert isinstance(self.check_dropped(caplog, records, clean),
                           FloatingPointError)
@@ -366,6 +366,17 @@ class TestStatistics:
         assert ks2.tolist() == ks.tolist() and np.all(feas >= 0.0)
         with pytest.raises(ValueError, match="no records"):
             mean_by_k(records, "adasg", "objective")
+
+    def test_mean_final_is_last_mean_by_k_entry(self):
+        # eight runs whose final values a pairwise sum would add as
+        # (1 + 0) + (2^-53 + 2^-53) = 1 + 2^-52, and a sum in run order as 1
+        finals = [1.0, 0.0, 2.0 ** -53, 2.0 ** -53, 0.0, 0.0, 0.0, 0.0]
+        runs = [RunRecord("admm", i, [RunRow(k, k, 0.0, v, 0.0, 0.0, "admm", i)
+                                      for k, v in ((1, 1.0), (2, 0.5), (3, final))])
+                for i, final in enumerate(finals)]
+        want = mean_by_k(runs, "admm", "objective")[1][-1]
+        assert want == 0.125
+        assert mean_final(runs, "objective") == want
 
     def test_envelope_brackets_mean(self, records):
         admm = [r for r in records if r.method == "admm"]

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sadmm.hilbert import (check_weights, project_box,
-                           soft_threshold, wdot, wdot_rows, weighted_l1,
-                           weighted_l1_rows, wnorm)
+                           soft_threshold, wdot, wdot_rows, weighted_l1_rows,
+                           wnorm)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -63,7 +63,8 @@ class TestInnerProduct:
             wdot_rows(a, b, w[1:])
         l1 = weighted_l1_rows(a, w)
         for i in range(12):
-            assert l1[i] == pytest.approx(weighted_l1(a[i], w), rel=1e-12)
+            assert l1[i] == pytest.approx(wdot(np.abs(a[i]), np.ones(n), w),
+                                          rel=1e-12)
             assert weighted_l1_rows(a[i:i + 1], w)[0] == l1[i]
             assert weighted_l1_rows(a[:i + 1], w)[i] == l1[i]
         with pytest.raises(ValueError, match="mismatch"):
@@ -163,12 +164,12 @@ class TestSoftThreshold:
 
 class TestWeightedL1:
     def test_manual(self):
-        a = np.array([1.0, -2.0, 0.0])
+        a = np.array([[1.0, -2.0, 0.0], [0.0, 0.0, -0.25]])
         w = np.array([0.5, 1.5, 2.0])
-        assert weighted_l1(a, w) == pytest.approx(0.5 + 3.0)
+        assert weighted_l1_rows(a, w).tolist() == [0.5 + 3.0, 0.5]
 
     @given(a=vec(), w=vec(lo=1e-3, hi=1e3))
     @settings(max_examples=50, deadline=None)
     def test_matches_wdot_of_abs(self, a, w):
-        assert weighted_l1(a, w) == pytest.approx(
+        assert weighted_l1_rows(a[None], w)[0] == pytest.approx(
             wdot(np.abs(a), np.ones_like(w), w), rel=1e-12, abs=1e-12)

@@ -13,9 +13,13 @@ from sadmm import fem, harness, problems
 from sadmm.hilbert import project_box, soft_threshold, wdot, wnorm
 from sadmm.optim import estimate_L
 from sadmm.problems import (EllipticControlProblem, FrozenEvalSet,
-                            QuadraticProblem, nonsmooth_value,
-                            reference_optimum)
+                            QuadraticProblem, reference_optimum)
 from test_fem import reference_stiffness
+
+
+def l1_term(problem, u):
+    """beta times the lumped L1 norm of u, as one weighted inner product."""
+    return problem.beta * wdot(np.abs(u), np.ones_like(u), problem.weights)
 
 
 def empirical_objective(problem, u, samples):
@@ -25,7 +29,7 @@ def empirical_objective(problem, u, samples):
     if not samples:
         raise ValueError("sample list must be nonempty")
     mean = sum(problem.smooth_value(u, s) for s in samples) / len(samples)
-    return mean + nonsmooth_value(problem, u)
+    return mean + l1_term(problem, u)
 
 
 def fail_in_helper_lanes(monkeypatch):
@@ -163,8 +167,6 @@ class TestEllipticProblem:
             EllipticControlProblem(mesh, -1.0, 0.0)
         with pytest.raises(ValueError, match="u_min"):
             EllipticControlProblem(mesh, 1.0, 0.0, u_min=1.0, u_max=0.0)
-        with pytest.raises(ValueError, match="does not match"):
-            EllipticControlProblem(mesh, 1.0, 0.0, y_d=np.zeros(7))
 
     def test_state_is_linear_in_control(self, elliptic):
         rng = np.random.default_rng(6)
@@ -337,18 +339,21 @@ class TestEllipticProblem:
 
 class TestObjectives:
     def test_nonsmooth_value(self):
+        # the quadratic objective's L1 term: beta * sum_i w_i |u_i|
         prob = make_quadratic(beta=0.5)
         u = np.array([1.0, -2.0] + [0.0] * (prob.dim - 2))
-        assert nonsmooth_value(prob, u) == pytest.approx(0.5 * 3.0)
+        assert prob.objective(u) - prob.smooth_value(u) == pytest.approx(
+            0.5 * 3.0)
 
-    def test_empirical_objective_quadratic(self):
-        prob = make_quadratic(sigma=0.0)
-        u = np.ones(prob.dim)
-        val = empirical_objective(prob, u, [None, None])
-        assert val == pytest.approx(prob.smooth_value(u)
-                                    + nonsmooth_value(prob, u))
+    def test_empirical_objective(self, elliptic):
+        xis = elliptic.draw_samples(np.random.default_rng(17), 2)
+        u = np.ones(elliptic.dim)
+        val = empirical_objective(elliptic, u, xis)
+        assert val == pytest.approx(
+            0.5 * (elliptic.smooth_value(u, xis[0])
+                   + elliptic.smooth_value(u, xis[1])) + l1_term(elliptic, u))
         with pytest.raises(ValueError, match="nonempty"):
-            empirical_objective(prob, u, [])
+            empirical_objective(elliptic, u, [])
 
     def test_frozen_eval_set_deterministic(self, elliptic):
         u = np.linspace(-1.0, 1.0, elliptic.dim)
@@ -468,17 +473,22 @@ class TestObjectives:
         assert ev.objective(us).tolist() == [ev.objective(u) for u in us]
 
     def test_stacked_objective_matches_single_iterates(self, elliptic):
+        # the elliptic eval set's objective, and the quadratic problem's own
+        quad = make_quadratic()
         rng = np.random.default_rng(11)
-        for prob, ev in ((elliptic, FrozenEvalSet(elliptic, 5, 0)),
-                         (make_quadratic(), FrozenEvalSet(make_quadratic(), 3, 0))):
+        for prob, scorer in ((elliptic, FrozenEvalSet(elliptic, 5, 0)),
+                             (quad, quad)):
             us = rng.uniform(-2.0, 2.0, size=(4, prob.dim))
-            assert ev.objective(us).tolist() == [ev.objective(u) for u in us]
-            assert type(ev.objective(us[0])) is float
+            assert scorer.objective(us).tolist() == [scorer.objective(u)
+                                                     for u in us]
+            assert type(scorer.objective(us[0])) is float
 
-    def test_frozen_eval_set_validation(self):
-        prob = make_quadratic(beta=1.0, sigma=0.0)
+    def test_frozen_eval_set_validation(self, elliptic):
         with pytest.raises(ValueError, match="eval_samples"):
-            FrozenEvalSet(prob, 0, 0)
+            FrozenEvalSet(elliptic, 0, 0)
+        # the quadratic problem has nothing to sample
+        with pytest.raises(TypeError, match="EllipticControlProblem"):
+            FrozenEvalSet(make_quadratic(), 3, 0)
 
 
 class TestEvalLanes:
@@ -572,8 +582,7 @@ class TestReferenceOptimum:
         rng = np.random.default_rng(10)
         for prob, ref, grad, L, objective in (
                 (quad, reference_optimum(quad), quad.exact_grad,
-                 quad.smooth_lipschitz(),
-                 lambda v: quad.smooth_value(v) + nonsmooth_value(quad, v)),
+                 quad.smooth_lipschitz(), quad.objective),
                 (elliptic, ev.optimum(), ev.smooth_grad, ev.smooth_lipschitz(),
                  ev.objective)):
             assert ref.converged and ref.residual <= 1e-12
