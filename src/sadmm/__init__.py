@@ -1,5 +1,19 @@
 """Stochastic splitting solver for nonsmooth composite convex problems,
-with sparse optimal control of a random-coefficient elliptic PDE."""
+with sparse optimal control of a random-coefficient elliptic PDE.
+
+Imported before numpy, the package pins BLAS and OpenMP to one thread unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is already set: every factorization
+is too small to share between threads (see README), and the eval set's passes
+use the cores one lane per CPU instead. A caller that imported numpy first
+keeps its BLAS threads.
+"""
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .hilbert import project_box, soft_threshold, wdot, wnorm
 from .fem import (StructuredMesh, assemble, build_mesh, checkerboard_target,

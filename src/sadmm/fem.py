@@ -591,26 +591,29 @@ def solve_state(factor: RedBlackFactor, u: np.ndarray) -> np.ndarray:
 
     The load uses the lumped weights W so that the adjoint gradient below is
     exact for the discrete objective. The factor of a stack of m samples
-    gives one interior state per sample with the same control, (m, n_interior).
+    gives one interior state per sample with the same control, (m, n_interior),
+    and k controls u (k, n_interior) give C-contiguous rows (m, k, n_interior)
+    from one k-column band_solve, each bit for bit what its control gives.
     """
     mesh = factor.mesh
-    loads = lumped_weights(mesh)[mesh.interior] * np.asarray(u, dtype=float)
-    stack = loads[None, :, None].repeat(len(factor), axis=0)
-    return band_solve(factor, stack)[..., 0]
+    loads = lumped_weights(mesh)[mesh.interior] * np.atleast_2d(u)
+    y = band_solve(factor, loads.T[None].repeat(len(factor), axis=0))
+    y = np.ascontiguousarray(y.transpose(0, 2, 1))
+    return y if np.ndim(u) == 2 else y[:, 0]
 
 
 def solve_adjoint(factor: RedBlackFactor, y: np.ndarray,
                   y_d: np.ndarray) -> np.ndarray:
     """Solve the adjoint equation K p = W (y - y_d) on the interior nodes as
-    in solve_state, given one interior state per sample, y (m, n_interior),
-    and an interior target y_d (n_interior,)."""
-    y = np.asarray(y, dtype=float)
+    in solve_state, given y, one interior state per sample (m, n_interior) or
+    k (m, k, n_interior), and an interior target y_d (n_interior,)."""
     y_d = np.asarray(y_d, dtype=float)
-    if y.shape[-1:] != y_d.shape:
+    if np.shape(y)[-1:] != y_d.shape:
         raise ValueError("state and target live on different meshes")
     mesh = factor.mesh
     rhs = lumped_weights(mesh)[mesh.interior] * (y - y_d)
-    return band_solve(factor, rhs[:, :, None])[..., 0]
+    p = band_solve(factor, rhs.reshape(len(rhs), -1, len(y_d)).transpose(0, 2, 1))
+    return np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(rhs.shape)
 
 
 def interpolate(mesh: StructuredMesh, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:

@@ -128,9 +128,13 @@ class ExperimentConfig:
             raise ConfigError(f"quad_dim must be >= 1, got {self.quad_dim}")
         if self.problem == "elliptic":
             try:
-                fem.grid_divisions(self.mesh_h)
+                n_div = fem.grid_divisions(self.mesh_h)
             except ValueError as exc:
                 raise ConfigError(f"mesh_h: {exc}") from exc
+            # one cell per side leaves no interior node, so no control
+            if n_div < 2:
+                raise ConfigError(f"mesh_h must be at most 1/2 so that the "
+                                  f"mesh has an interior node, got {self.mesh_h}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

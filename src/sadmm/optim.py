@@ -2,7 +2,8 @@
 stochastic proximal-gradient, subgradient, and adaptive-gradient baselines.
 
 All methods consume the same mini-batch averaged stochastic gradient, so
-comparisons at a fixed iteration count use identical oracle-call budgets.
+comparisons at a fixed iteration count use identical oracle-call budgets:
+run_solver takes it at solver.point(state) and hands it to solver.step.
 """
 
 from __future__ import annotations
@@ -107,7 +108,6 @@ class AdmmState:
     lam: np.ndarray
     theta: float
     k: int = 0
-    sfo_calls: int = 0
 
 
 def _check_finite(a: np.ndarray, name: str, k: int) -> np.ndarray:
@@ -128,9 +128,12 @@ class AdmmSolver:
         zero = np.zeros(self.problem.dim)
         return AdmmState(v=zero.copy(), s=zero.copy(), psi=zero.copy(),
                          u=zero.copy(), z=zero.copy(), lam=zero.copy(),
-                         theta=1.0, k=0, sfo_calls=0)
+                         theta=1.0, k=0)
 
-    def step(self, state: AdmmState, rng: np.random.Generator) -> AdmmState:
+    def point(self, state: AdmmState) -> np.ndarray:
+        return state.v
+
+    def step(self, state: AdmmState, G: np.ndarray) -> AdmmState:
         prm = self.params
         prob = self.problem
         k = state.k
@@ -145,8 +148,6 @@ class AdmmSolver:
             eta_k = prm.eta
             theta_after = float(k + 2)
 
-        m_k = self.batch.size(k)
-        G = _check_finite(prob.averaged_grad(state.v, rng, m_k), "gradient", k)
         s1 = _check_finite(
             soft_threshold(state.v - state.lam / rho_k, prob.beta / rho_k),
             "z-step", k)
@@ -161,8 +162,7 @@ class AdmmSolver:
         lam1 = _check_finite(psi1 - prm.mu * rho_k * theta_k * (u1 - z1), "dual-step", k)
 
         return AdmmState(v=v1, s=s1, psi=psi1, u=u1, z=z1, lam=lam1,
-                         theta=theta_after, k=k + 1,
-                         sfo_calls=state.sfo_calls + m_k)
+                         theta=theta_after, k=k + 1)
 
     def views(self, state: AdmmState):
         """(smooth iterate u, thresholded iterate z); their difference is the
@@ -174,25 +174,21 @@ class AdmmSolver:
 class SgState:
     u: np.ndarray
     k: int = 0
-    sfo_calls: int = 0
     grad_sq_sum: np.ndarray | None = None  # adaptive method accumulator
 
 
 class _SgSolverBase:
-    """Shared mini-batch gradient machinery for the SG-type baselines."""
+    """What the SG-type baselines share: the gradient is taken at u."""
 
     def __init__(self, problem, batch: BatchSchedule):
         self.problem = problem
         self.batch = batch
 
     def reset(self) -> SgState:
-        return SgState(u=np.zeros(self.problem.dim), k=0, sfo_calls=0)
+        return SgState(u=np.zeros(self.problem.dim), k=0)
 
-    def _grad(self, state: SgState, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-        m_k = self.batch.size(state.k)
-        G = _check_finite(self.problem.averaged_grad(state.u, rng, m_k),
-                          "gradient", state.k)
-        return G, m_k
+    def point(self, state: SgState) -> np.ndarray:
+        return state.u
 
     def views(self, state: SgState):
         return state.u, state.u
@@ -207,14 +203,12 @@ class SpgSolver(_SgSolverBase):
             raise ValueError("l_hat must be positive")
         self.step_size = 1.0 / l_hat
 
-    def step(self, state: SgState, rng: np.random.Generator) -> SgState:
-        G, m_k = self._grad(state, rng)
+    def step(self, state: SgState, G: np.ndarray) -> SgState:
         eta = self.step_size
         u1 = project_box(
             soft_threshold(state.u - eta * G, eta * self.problem.beta),
             self.problem.u_min, self.problem.u_max)
-        return SgState(u=_check_finite(u1, "prox-step", state.k),
-                       k=state.k + 1, sfo_calls=state.sfo_calls + m_k)
+        return SgState(u=_check_finite(u1, "prox-step", state.k), k=state.k + 1)
 
 
 class SsgSolver(_SgSolverBase):
@@ -231,21 +225,19 @@ class SsgSolver(_SgSolverBase):
             return 1.0 / (self.alpha * (k + 1))
         return 1.0 / math.sqrt(k + 1)
 
-    def step(self, state: SgState, rng: np.random.Generator) -> SgState:
-        G, m_k = self._grad(state, rng)
+    def step(self, state: SgState, G: np.ndarray) -> SgState:
         sub = G + self.problem.beta * np.sign(state.u)
         u1 = project_box(state.u - self.step_size(state.k) * sub,
                          self.problem.u_min, self.problem.u_max)
         return SgState(u=_check_finite(u1, "subgradient-step", state.k),
-                       k=state.k + 1, sfo_calls=state.sfo_calls + m_k)
+                       k=state.k + 1)
 
 
 class AdaSgSolver(_SgSolverBase):
     """Adaptive SG: per-node steps 1 / sqrt(1e-8 + cumulative G^2),
     followed by the same composite prox as SPG."""
 
-    def step(self, state: SgState, rng: np.random.Generator) -> SgState:
-        G, m_k = self._grad(state, rng)
+    def step(self, state: SgState, G: np.ndarray) -> SgState:
         acc = (state.grad_sq_sum if state.grad_sq_sum is not None
                else np.zeros(self.problem.dim)) + G * G
         steps = 1.0 / np.sqrt(1e-8 + acc)
@@ -253,8 +245,7 @@ class AdaSgSolver(_SgSolverBase):
             soft_threshold(state.u - steps * G, steps * self.problem.beta),
             self.problem.u_min, self.problem.u_max)
         return SgState(u=_check_finite(u1, "adaptive-step", state.k),
-                       k=state.k + 1, sfo_calls=state.sfo_calls + m_k,
-                       grad_sq_sum=acc)
+                       k=state.k + 1, grad_sq_sum=acc)
 
 
 def estimate_L(problem, u_probe: np.ndarray, rng: np.random.Generator,
@@ -272,7 +263,8 @@ def estimate_L(problem, u_probe: np.ndarray, rng: np.random.Generator,
 
 
 def run_solver(solver, K: int, rng: np.random.Generator, hook=None):
-    """Drive K steps from the solver's initial state.
+    """Drive K steps from the solver's initial state, step k on the averaged
+    gradient of solver.batch.size(k) samples from rng at solver.point(state).
 
     hook, if given, is called after every step as hook(k, sfo_calls, elapsed,
     state); the run is deterministic given the rng.
@@ -280,11 +272,15 @@ def run_solver(solver, K: int, rng: np.random.Generator, hook=None):
     if K < 1:
         raise ValueError("iteration count K must be >= 1")
     state = solver.reset()
-    elapsed = 0.0  # optimization time only; telemetry hooks are not billed
+    sfo_calls = 0
+    elapsed = 0.0  # oracle and update time only; telemetry hooks are not billed
     for _ in range(K):
         t0 = time.perf_counter()
-        state = solver.step(state, rng)
+        m_k = solver.batch.size(state.k)
+        G = solver.problem.averaged_grad(solver.point(state), rng, m_k)
+        state = solver.step(state, _check_finite(G, "gradient", state.k))
         elapsed += time.perf_counter() - t0
+        sfo_calls += m_k
         if hook is not None:
-            hook(state.k, state.sfo_calls, elapsed, state)
+            hook(state.k, sfo_calls, elapsed, state)
     return state

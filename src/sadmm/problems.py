@@ -162,7 +162,8 @@ class EllipticControlProblem:
 
     def grad(self, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Per-sample gradient alpha*u + p via the adjoint solve, for one
-        sample xi (4,), or (m, dim), one row per sample, for a stack (m, 4).
+        sample xi (4,), or (m, dim), one row per sample, for a stack (m, 4);
+        k controls u (k, dim) give (k, dim) or (m, k, dim), bit for bit.
 
         One sample is a stack of one: the stack is assembled and factored at
         once, and its states and adjoints are solved at once. A stiffness that
@@ -173,17 +174,17 @@ class EllipticControlProblem:
         xis = np.asarray(xi, dtype=float)
         with self.factored(np.atleast_2d(xis)) as factor:
             g = self.alpha * u + self._adjoints(factor, u)
-        return g.reshape(xis.shape[:-1] + g.shape[-1:])
+        return g.reshape(xis.shape[:-1] + g.shape[1:])
 
     def _adjoints(self, factors: fem.RedBlackFactor, u: np.ndarray,
                   y_d: np.ndarray | None = None) -> np.ndarray:
-        """The adjoint of each sample of a stack of factors at u for the
-        interior target y_d (the problem's by default), one row per sample:
-        the one chain of grad and the eval set's gradient. At u = 0 (every
-        run's first step, the reference optimum's start) the state is
-        exactly 0, so its solve is skipped: y - y_d is -y_d bit for bit."""
+        """The adjoints of a stack of factors at u (dim,), (m, dim), or at k
+        controls u (k, dim), (m, k, dim), for the interior target y_d (the
+        problem's by default): the one chain of grad and the eval set's
+        gradient. When every control is 0 (every run's first step, the
+        reference optimum's start) the state is exactly 0 and is not solved."""
         y = (fem.solve_state(factors, u) if np.any(u)
-             else np.zeros((len(factors), self.dim)))
+             else np.zeros((len(factors),) + np.shape(u)))
         return fem.solve_adjoint(
             factors, y, self.y_d_interior if y_d is None else y_d)
 

@@ -23,24 +23,26 @@ def write_cfg(tmp_path, **overrides):
 # the same run seeds), counts that are not nonnegative integers (a float K
 # would fail every run, each logged and dropped), or floats that are not
 # finite (a NaN alpha would fail every run the same way), by the field the
-# error message must name
+# error message must name; each field's configs are checked in turn
 REJECTED_BELOW_CONFIG = {
-    "l_est_calls": {"l_est_calls": 0},
-    "mu": {"mu": 1.5},
-    "batch_floor": {"batch_floor": 0},
-    "quad_sigma": {"quad_sigma": -1},
-    "mesh_h": {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.3},
-    "u_min": {"u_min": 7.0},
-    "batch_rule": {"batch_rule": "linear"},
-    "beta": {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.25, "beta": -1.0},
-    "quad_dim": {"quad_dim": 0},
-    "methods": {"methods": ["admm", "admm"]},
-    "K": {"K": 10.5},
-    "runs": {"runs": 1.0},
-    "eval_samples": {"eval_samples": True},
-    "seed": {"seed": -1},
-    "alpha": {"alpha": float("nan")},
-    "u_max": {"u_max": float("inf")},
+    "l_est_calls": [{"l_est_calls": 0}],
+    "mu": [{"mu": 1.5}],
+    "batch_floor": [{"batch_floor": 0}],
+    "quad_sigma": [{"quad_sigma": -1}],
+    "mesh_h": [{"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.3},
+               # one cell per side: no interior node, so no control
+               {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 1.0}],
+    "u_min": [{"u_min": 7.0}],
+    "batch_rule": [{"batch_rule": "linear"}],
+    "beta": [{"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.25, "beta": -1.0}],
+    "quad_dim": [{"quad_dim": 0}],
+    "methods": [{"methods": ["admm", "admm"]}],
+    "K": [{"K": 10.5}],
+    "runs": [{"runs": 1.0}],
+    "eval_samples": [{"eval_samples": True}],
+    "seed": [{"seed": -1}],
+    "alpha": [{"alpha": float("nan")}],
+    "u_max": [{"u_max": float("inf")}],
 }
 
 
@@ -105,12 +107,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("field", list(REJECTED_BELOW_CONFIG))
     def test_value_a_solver_layer_rejects_is_config_error(self, tmp_path, capsys,
                                                           field):
-        cfg = write_cfg(tmp_path, **REJECTED_BELOW_CONFIG[field])
-        out = tmp_path / "out"
-        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error") and field in err
-        assert not out.exists()
+        for overrides in REJECTED_BELOW_CONFIG[field]:
+            cfg = write_cfg(tmp_path, **overrides)
+            out = tmp_path / "out"
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error") and field in err
+            assert not out.exists()
 
     def test_convex_admm_without_beta_fails_before_running(self, tmp_path,
                                                           monkeypatch, capsys):

@@ -429,8 +429,29 @@ class TestSolves:
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_adjoint_shape_mismatch(self, factor4):
-        with pytest.raises(ValueError, match="different meshes"):
-            fem.solve_adjoint(factor4, np.zeros((1, 9)), np.zeros(8))
+        for y in (np.zeros((1, 9)), np.zeros((1, 3, 9))):
+            with pytest.raises(ValueError, match="different meshes"):
+                fem.solve_adjoint(factor4, y, np.zeros(8))
+
+    def test_k_controls_solve_as_columns(self, mesh4):
+        # k controls give (m, k, n_interior) states and adjoints in
+        # C-contiguous rows, each column bit for bit its control's own solve
+        rng = np.random.default_rng(7)
+        factor = fem.factor(mesh4, rng.uniform(-1, 1, size=(2, 4)))
+        us = rng.standard_normal((3, 9))
+        us[1] = 0.0
+        y_d = rng.standard_normal(9)
+        ys = fem.solve_state(factor, us)
+        ps = fem.solve_adjoint(factor, ys, y_d)
+        assert ys.shape == ps.shape == (2, 3, 9)
+        assert ys.flags.c_contiguous and ps.flags.c_contiguous
+        for j, u in enumerate(us):
+            y = fem.solve_state(factor, u)
+            assert y.shape == (2, 9)
+            assert ys[:, j].tobytes() == y.tobytes()
+            assert ps[:, j].tobytes() == fem.solve_adjoint(factor, y,
+                                                           y_d).tobytes()
+        assert not ys[:, 1].any()
 
 
 # Factor and solve one elliptic sample in a fresh process; print a digest of
@@ -449,10 +470,15 @@ print("scipy.linalg" in sys.modules)
 """
 
 
-def run_fresh(code: str) -> list:
+def run_fresh(code: str, **variables) -> list:
     """The output lines of code run by a new interpreter that imports this
-    sadmm."""
+    sadmm, with the environment variables given set, or unset for None."""
     env = dict(os.environ)
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(fem.__file__).parents[1])]
         + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
@@ -492,6 +518,35 @@ print(cython_lapack is fem.cython_lapack, info,
       np.allclose(scipy.linalg.cholesky_banded(band), factor))
 """)
         assert out == ["True", "0", "True"]
+
+
+# The BLAS and OpenMP thread settings after importing sadmm, and whether
+# numpy was imported before it.
+BLAS_THREADS = """
+import os, sys
+numpy_first = "numpy" in sys.modules
+import sadmm
+print(numpy_first, os.environ.get("OPENBLAS_NUM_THREADS"),
+      os.environ.get("OMP_NUM_THREADS"))
+"""
+
+
+class TestBlasPinning:
+    """import sadmm pins BLAS to one thread unless a setting exists or numpy
+    was imported first."""
+
+    def test_unset_variables_are_pinned_to_one(self):
+        assert run_fresh(BLAS_THREADS, OPENBLAS_NUM_THREADS=None,
+                         OMP_NUM_THREADS=None) == ["False", "1", "1"]
+
+    def test_a_set_value_is_kept(self):
+        assert run_fresh(BLAS_THREADS, OPENBLAS_NUM_THREADS="2",
+                         OMP_NUM_THREADS=None) == ["False", "2", "1"]
+
+    def test_numpy_imported_first_keeps_its_blas(self):
+        assert run_fresh("import numpy\n" + BLAS_THREADS,
+                         OPENBLAS_NUM_THREADS=None,
+                         OMP_NUM_THREADS=None) == ["True", "None", "None"]
 
 
 class TestHelpers:

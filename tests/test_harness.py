@@ -64,6 +64,7 @@ class TestConfig:
         {"quad_sigma": float("inf")},
         {"problem": "quadratic", "mesh_h": float("nan")},
         {"problem": "quadratic", "mesh_h": "x"},
+        {"problem": "elliptic", "mesh_h": 1.0},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ConfigError):

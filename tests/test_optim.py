@@ -1,5 +1,6 @@
 """Solver updates checked against closed forms, grid oracles, and invariants."""
 
+import inspect
 import logging
 import math
 
@@ -19,6 +20,14 @@ def make_problem(dim=10, alpha=1.0, beta=0.2, sigma=0.1, seed=0, **kw):
     A = rng.standard_normal((dim, dim)) / dim
     b = rng.standard_normal(dim)
     return QuadraticProblem(A, b, alpha, beta, sigma=sigma, **kw)
+
+
+def oracle_step(solver, state, rng):
+    """One step as run_solver takes it: the averaged gradient of
+    batch.size(k) samples at the solver's point, then the update."""
+    G = solver.problem.averaged_grad(solver.point(state), rng,
+                                     solver.batch.size(state.k))
+    return solver.step(state, G)
 
 
 class TestTheta:
@@ -104,7 +113,7 @@ class TestAdmmStep:
         rng = np.random.default_rng(seed)
         state = self.solver.reset()
         for _ in range(n):
-            state = self.solver.step(state, rng)
+            state = oracle_step(self.solver, state, rng)
         return state
 
     def test_iterates_stay_in_box(self):
@@ -120,7 +129,7 @@ class TestAdmmStep:
         for _ in range(20):
             theta_k = state.theta
             rho_k = self.params.rho * theta_k
-            state = self.solver.step(state, rng)
+            state = oracle_step(self.solver, state, rng)
             expected = state.psi - self.params.mu * rho_k * theta_k * (
                 state.u - state.z)
             np.testing.assert_allclose(state.lam, expected, rtol=1e-12,
@@ -131,7 +140,7 @@ class TestAdmmStep:
         start = self._advance(5, seed=2)
         rng_a = np.random.default_rng(3)
         rng_b = np.random.default_rng(3)
-        after = self.solver.step(start, rng_a)
+        after = oracle_step(self.solver, start, rng_a)
 
         theta_k = start.theta
         rho_k = self.params.rho * theta_k
@@ -158,15 +167,16 @@ class TestAdmmStep:
         for _ in range(5):
             prev = state
             theta_k = state.theta
-            state = solver.step(state, rng)
+            state = oracle_step(solver, state, rng)
             expected = prev.v - prev.lam / (params.rho * theta_k)
             np.testing.assert_allclose(state.s, expected, atol=1e-15)
 
     def test_sfo_accounting(self):
-        state = self._advance(25)
+        seen = []
+        state = run_solver(self.solver, 25, np.random.default_rng(0),
+                           hook=lambda k, sfo, t, s: seen.append(sfo))
         assert state.k == 25
-        assert state.sfo_calls == sum(BatchSchedule().size(k)
-                                      for k in range(25))
+        assert seen[-1] == sum(BatchSchedule().size(k) for k in range(25))
 
     def test_subproblem_grid_oracle(self):
         # both per-node updates minimize their scalar subproblems
@@ -194,7 +204,7 @@ class TestAdmmStep:
         rng = np.random.default_rng(6)
         state = self.solver.reset()
         for _ in range(400):
-            state = self.solver.step(state, rng)
+            state = oracle_step(self.solver, state, rng)
             if state.k in (100, 400):
                 residuals[state.k] = np.linalg.norm(state.u - state.z)
         # theory: O(1/K^2) for the averaged pair, so a factor 16 over 4x K
@@ -231,7 +241,7 @@ class TestBaselines:
         prob = make_problem(sigma=0.0, beta=5.0)
         solver = SsgSolver(prob, BatchSchedule(rule="constant"), alpha=1.0)
         rng = np.random.default_rng(8)
-        state = solver.step(solver.reset(), rng)
+        state = oracle_step(solver, solver.reset(), rng)
         expected = project_box(-1.0 * prob.exact_grad(np.zeros(prob.dim)),
                                prob.u_min, prob.u_max)
         np.testing.assert_allclose(state.u, expected, rtol=1e-14)
@@ -243,7 +253,7 @@ class TestBaselines:
         state = solver.reset()
         prev_acc = np.zeros(prob.dim)
         for _ in range(10):
-            state = solver.step(state, rng)
+            state = oracle_step(solver, state, rng)
             assert np.all(state.grad_sq_sum >= prev_acc)
             prev_acc = state.grad_sq_sum
         # accumulated squares grow, so effective steps shrink monotonically
@@ -256,8 +266,10 @@ class TestBaselines:
         for solver in (SpgSolver(prob, batch, l_hat=1.0),
                        SsgSolver(prob, batch),
                        AdaSgSolver(prob, batch)):
-            state = run_solver(solver, 12, np.random.default_rng(10))
-            assert state.sfo_calls == sum(batch.size(k) for k in range(12))
+            seen = []
+            state = run_solver(solver, 12, np.random.default_rng(10),
+                               hook=lambda k, sfo, t, s: seen.append(sfo))
+            assert seen[-1] == sum(batch.size(k) for k in range(12))
             u, z = solver.views(state)
             assert u is z  # no splitting: both views are the same iterate
 
@@ -274,6 +286,32 @@ class TestEstimateL:
         with pytest.raises(ValueError, match="n_calls"):
             estimate_L(make_problem(), np.zeros(10),
                        np.random.default_rng(0), n_calls=0)
+
+
+class _RecordingProblem:
+    """A problem that records each averaged_grad call's point and batch
+    size; from its poison_at-th call on it returns inf."""
+
+    def __init__(self, problem, poison_at=None):
+        self.problem, self.poison_at, self.calls = problem, poison_at, []
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def averaged_grad(self, u, rng, m):
+        self.calls.append((u, m))
+        if self.poison_at is not None and len(self.calls) > self.poison_at:
+            return np.full(self.dim, np.inf)
+        return self.problem.averaged_grad(u, rng, m)
+
+
+SOLVERS = {
+    "admm": lambda prob, batch: AdmmSolver(
+        prob, derive_strongly_convex_params(prob.alpha, 0.5), batch),
+    "spg": lambda prob, batch: SpgSolver(prob, batch, l_hat=1.0),
+    "ssg": lambda prob, batch: SsgSolver(prob, batch, alpha=prob.alpha),
+    "adasg": lambda prob, batch: AdaSgSolver(prob, batch),
+}
 
 
 class _ExplodingProblem:
@@ -310,3 +348,48 @@ class TestRunSolver:
         with pytest.raises(NumericalFailure) as exc:
             run_solver(solver, 3, np.random.default_rng(0))
         assert exc.value.step_name == "gradient" and exc.value.k == 0
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_one_oracle_call_per_step_at_the_point(self, method):
+        # run_solver makes every oracle call: once per step, at the point
+        # of the state it steps from, with batch.size(k) samples; the states
+        # are those of stepping by hand
+        prob = _RecordingProblem(make_problem())
+        batch = BatchSchedule()
+        solver = SOLVERS[method](prob, batch)
+        states = [solver.reset()]
+        run_solver(solver, 6, np.random.default_rng(13),
+                   hook=lambda k, sfo, t, s: states.append(s))
+        assert [m for _, m in prob.calls] == [batch.size(k) for k in range(6)]
+        for (u, _), before in zip(prob.calls, states):
+            np.testing.assert_array_equal(u, solver.point(before))
+        rng = np.random.default_rng(13)
+        by_hand = solver.reset()
+        for state in states[1:]:
+            by_hand = oracle_step(solver, by_hand, rng)
+            np.testing.assert_array_equal(solver.views(by_hand)[0],
+                                          solver.views(state)[0])
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_non_finite_gradient_stops_before_the_update(self, method,
+                                                         monkeypatch):
+        prob = _RecordingProblem(make_problem(), poison_at=2)
+        solver = SOLVERS[method](prob, BatchSchedule())
+        steps = []
+        step = solver.step
+        monkeypatch.setattr(solver, "step",
+                            lambda state, G: steps.append(state.k)
+                            or step(state, G))
+        with pytest.raises(NumericalFailure) as exc:
+            run_solver(solver, 5, np.random.default_rng(0))
+        assert (exc.value.step_name, exc.value.k) == ("gradient", 2)
+        assert steps == [0, 1]
+
+    @pytest.mark.parametrize("method", SOLVERS)
+    def test_step_is_an_update_rule(self, method):
+        # no rng and no oracle: step(state, G) applies the update given G
+        prob = _RecordingProblem(make_problem(), poison_at=0)
+        solver = SOLVERS[method](prob, BatchSchedule())
+        assert list(inspect.signature(solver.step).parameters) == ["state", "G"]
+        state = solver.step(solver.reset(), np.ones(prob.dim))
+        assert state.k == 1 and prob.calls == []

@@ -264,6 +264,32 @@ class TestEllipticProblem:
         elliptic.grad(np.ones(elliptic.dim), xis)
         assert len(states) == 1
 
+    def test_k_controls_give_each_control_its_own_bits(self, elliptic,
+                                                       monkeypatch):
+        # k = 3 controls, one of them 0, on a stack of 6 and on one sample:
+        # one state solve of 3 columns, each column the one-control gradient
+        rng = np.random.default_rng(14)
+        xis = elliptic.draw_samples(rng, 6)
+        us = rng.uniform(-3.0, 3.0, size=(3, elliptic.dim))
+        us[1] = 0.0
+        states = []
+        solve_state = fem.solve_state
+        monkeypatch.setattr(fem, "solve_state",
+                            lambda *a: states.append(a) or solve_state(*a))
+        grads = elliptic.grad(us, xis)
+        one = elliptic.grad(us, xis[2])
+        assert len(states) == 2 and states[0][1] is us
+        assert grads.shape == (6, 3, elliptic.dim)
+        assert one.shape == (3, elliptic.dim) and one.flags.c_contiguous
+        for j, u in enumerate(us):
+            assert grads[:, j].tobytes() == elliptic.grad(u, xis).tobytes()
+            assert one[j].tobytes() == elliptic.grad(u, xis[2]).tobytes()
+        # every control 0: no state solve, as for one control
+        states.clear()
+        zeros = elliptic.grad(np.zeros((2, elliptic.dim)), xis)
+        assert states == []
+        assert zeros[:, 0].tobytes() == grads[:, 1].tobytes()
+
     def test_eval_grad_at_zero_skips_the_state_solve_bit_for_bit(
             self, elliptic, monkeypatch):
         # the eval set's gradient runs the oracle's chain, so at u = 0 it
