@@ -1,14 +1,16 @@
 """P1 triangular finite elements on the unit square with a random diffusion field.
 
 The mesh is a structured grid of right triangles, every cell split along the
-same diagonal. The stiffness matrix uses one-point (centroid) quadrature for
-the variable coefficient; Dirichlet conditions are eliminated to an
-interior-only SPD system. On this mesh the stiffness is exactly a 5-point
-stencil (the coupling across each cell's diagonal is 0.0), so the interior
-nodes split into red and black with no coupling inside a colour. The direct
-solve eliminates the red nodes, whose block is diagonal, and factors the
-Schur complement on the black nodes, a band of half the size and half the
-bandwidth of the stiffness, by banded Cholesky.
+same diagonal, and fem assembles on no other mesh: the stiffness's weights
+per triangle, the lumped-mass weights and the node colouring below come from
+the grid's indices in closed form. The stiffness matrix uses one-point
+(centroid) quadrature for the variable coefficient; Dirichlet conditions are
+eliminated to an interior-only SPD system. On this mesh the stiffness is
+exactly a 5-point stencil (the coupling across each cell's diagonal is 0.0),
+so the interior nodes split into red and black with no coupling inside a
+colour. The direct solve eliminates the red nodes, whose block is diagonal,
+and factors the Schur complement on the black nodes, a band of half the
+size and half the bandwidth of the stiffness, by banded Cholesky.
 Assembly, factorization and solves work on stacks of coefficient samples,
 one sample being a stack of one: a stack's coefficient fields, stencil
 values, red pivots and Schur bands are formed by array operations over the
@@ -78,6 +80,9 @@ splu = cg_solve = None
 
 @dataclass(frozen=True, eq=False)
 class StructuredMesh:
+    """The uniform grid that build_mesh(h) makes; assembly raises ValueError
+    for any other nodes, triangles, boundary or interior."""
+
     h: float
     nodes: np.ndarray  # (n, 2)
     triangles: np.ndarray  # (m, 3) node indices, positively oriented
@@ -460,88 +465,61 @@ def band_solve(factor: RedBlackFactor, rhs: np.ndarray) -> np.ndarray:
 
 
 class _MeshGeometry:
-    """Sample-independent assembly data, computed once per mesh."""
+    """Sample-independent assembly data, computed once per mesh from the
+    indices of its grid (see build_mesh).
+
+    On the n x n grid of right triangles every interior node (i, j) lies in
+    six triangles. Its pivot sums a(centroid) over them, in ascending order,
+    with weights 1/2, 1/2, 1, 1, 1/2, 1/2 (1 where the node is the right
+    angle); each grid edge between two interior nodes couples them with -1/2
+    on each of its two triangles, and a cell's diagonal couples nothing.
+    """
 
     def __init__(self, mesh: StructuredMesh):
-        tri = mesh.triangles
-        p0 = mesh.nodes[tri[:, 0]]
-        p1 = mesh.nodes[tri[:, 1]]
-        p2 = mesh.nodes[tri[:, 2]]
+        grid = build_mesh(mesh.h)
+        if not all(np.array_equal(getattr(mesh, name), getattr(grid, name))
+                   for name in ("nodes", "triangles", "boundary_mask",
+                                "interior")):
+            raise ValueError(f"the mesh is not the uniform grid of h={mesh.h}, "
+                             "so its stencil does not apply")
+        p = mesh.nodes[mesh.triangles]
+        self.centroid_modes = _log_coefficient_modes(
+            (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0)
+        # each node's share of its triangles' consistent mass area/12 *
+        # (1 + delta_ij) is area/3 = h^2/6 per triangle
+        self.lumped = check_weights(
+            np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes)
+            * (mesh.h * mesh.h / 6.0), domain_area=1.0)
 
-        d1 = p1 - p0
-        d2 = p2 - p0
-        area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        if np.any(area <= 0.0):
-            raise ValueError("mesh contains non-positively oriented triangles")
-
-        # gradients of the barycentric basis functions, shape (m, 3, 2)
-        grads = np.empty((tri.shape[0], 3, 2))
-        grads[:, 0, 0] = p1[:, 1] - p2[:, 1]
-        grads[:, 0, 1] = p2[:, 0] - p1[:, 0]
-        grads[:, 1, 0] = p2[:, 1] - p0[:, 1]
-        grads[:, 1, 1] = p0[:, 0] - p2[:, 0]
-        grads[:, 2, 0] = p0[:, 1] - p1[:, 1]
-        grads[:, 2, 1] = p1[:, 0] - p0[:, 0]
-        grads /= (2.0 * area)[:, None, None]
-
-        self.centroid_modes = _log_coefficient_modes((p0 + p1 + p2) / 3.0)
-        # geometric stiffness factor area * grad_i . grad_j, shape (m, 3, 3)
-        k_geo = np.einsum("tid,tjd->tij", grads, grads) * area[:, None, None]
-
-        rows = np.repeat(tri, 3, axis=1).ravel()
-        cols = np.tile(tri, (1, 3)).ravel()
-        n = mesh.n_nodes
-
-        # the lumped weights are the row sums of the consistent mass
-        # area/12 * (1 + delta_ij), which does not depend on the sample
-        m_base = (np.ones((3, 3)) + np.eye(3)) / 12.0
-        m_loc = area[:, None, None] * m_base[None, :, :]
-        mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-        self.lumped = check_weights(np.asarray(mass.sum(axis=1)).ravel(),
-                                    domain_area=1.0)
-
-        # the entries of the eliminated (interior-only) stiffness, one per
-        # triangle and pair of its interior vertices
-        int_number = np.full(n, -1, dtype=np.int64)
-        int_number[mesh.interior] = np.arange(mesh.interior.size)
-        r = int_number[rows]
-        c = int_number[cols]
-        sel = np.nonzero((r >= 0) & (c >= 0))[0]
-        r, c = r[sel], c[sel]
-        entry_k_geo = k_geo.ravel()[sel]
-
-        # red-black colouring of the interior grid: the direct solve needs
-        # every nonzero coupling to join a red and a black node
-        ij = np.rint(mesh.nodes[mesh.interior] / mesh.h).astype(np.int64)
-        red = ij.sum(axis=1) % 2 == 0
-        if np.any((red[r] == red[c]) & (r != c) & (entry_k_geo != 0.0)):
-            raise ValueError("the stiffness couples two nodes of one colour, "
-                             "so red-black elimination does not apply")
-        n_red = int(np.count_nonzero(red))
-        n_black = red.size - n_red
-        number = np.empty(red.size, dtype=np.int64)
-        number[red] = np.arange(n_red)
-        number[~red] = np.arange(n_black)
-
-        # stencil value j sums k_geo * a(centroid) over the triangles that
-        # share the entry, in ascending triangle order: the pivots, red then
-        # black, then the couplings keyed by (red number, black number), each
-        # from its red-to-black entry. Same-colour pairs (the cells'
-        # diagonals, k_geo == 0.0) are dropped before a key is formed: their
-        # key could equal a coupling's.
-        pivot = r == c
-        coupling = red[r] & ~red[c]
-        keys, j_coupling = np.unique(
-            number[r[coupling]] * n_black + number[c[coupling]],
-            return_inverse=True)
-        j = np.where(red[r], number[r], n_red + number[r])
-        j[coupling] = n_red + n_black + j_coupling
-        on = pivot | coupling
-        self.red_black = RedBlackOrdering(red, *np.divmod(keys, n_black))
+        # the interior node k is grid node (i + 1, j + 1), (j, i) = divmod(k,
+        # side); red nodes have i + j even
+        n = grid_divisions(mesh.h)
+        side = n - 1
+        j, i = np.divmod(np.arange(side * side), side)
+        red = (i + j) % 2 == 0
+        number = np.where(red, np.cumsum(red), np.cumsum(~red)) - 1
+        # a node's lowest triangle is the lower one of cell (i, j), the cell
+        # it is the upper-right corner of: triangles 2c and 2c + 1 are cell
+        # c's lower and upper
+        first = 2 * (j * n + i)
+        pivots = np.concatenate([first[red], first[~red]])[:, None] \
+            + [0, 1, 3, 2 * n, 2 * n + 2, 2 * n + 3]
+        # each red node's edges to its south, west, east and north
+        # neighbours, in ascending black number, with their two triangles
+        r = np.nonzero(red)[0]
+        rows, edge = np.nonzero(np.column_stack(
+            [j[r] > 0, i[r] > 0, i[r] < side - 1, j[r] < side - 1]))
+        cols = number[r[rows] + np.array([-side, -1, 1, side])[edge]]
+        edges = first[r[rows], None] + np.array(
+            [[0, 3], [1, 2 * n], [3, 2 * n + 2], [2 * n, 2 * n + 3]])[edge]
+        self.red_black = RedBlackOrdering(red, rows, cols)
         self.stencil_matrix = sp.csr_array(
-            (entry_k_geo[on], (j[on], sel[on] // 9)),
-            shape=(n_red + n_black + keys.size, tri.shape[0]))
-        self.stencil_matrix.sort_indices()
+            (np.concatenate([np.tile([0.5, 0.5, 1.0, 1.0, 0.5, 0.5], red.size),
+                             np.full(edges.size, -0.5)]),
+             np.concatenate([pivots.ravel(), edges.ravel()]),
+             np.concatenate([np.arange(0, 6 * red.size, 6),
+                             6 * red.size + np.arange(0, edges.size + 1, 2)])),
+            shape=(red.size + rows.size, mesh.triangles.shape[0]))
 
 
 _geometry_cache: "weakref.WeakKeyDictionary[StructuredMesh, _MeshGeometry]" = \

@@ -232,6 +232,11 @@ class QuadraticProblem:
         return self.A.shape[1]
 
     def exact_grad(self, u: np.ndarray) -> np.ndarray:
+        """The smooth part's gradient at one point u (dim,). A stack of
+        points is refused: A @ u would mix its rows."""
+        if np.ndim(u) != 1:
+            raise ValueError(f"exact_grad takes one point (dim,), not an "
+                             f"array of shape {np.shape(u)}")
         return self.A.T @ (self.A @ u - self.b) + self.alpha * u
 
     def smooth_value(self, u: np.ndarray) -> float:

@@ -24,8 +24,12 @@ def triangle_areas(mesh):
 
 
 def reference_stiffness(mesh, xi):
-    """Interior stiffness by COO -> CSR assembly of the P1 element matrices
-    a(centroid) * (e_i . e_j) / (4 area), e_i the edge opposite vertex i."""
+    """Interior stiffness, CSR, assembled from the P1 element matrices
+    a(centroid) * (e_i . e_j) / (4 area), e_i the edge opposite vertex i.
+    Each entry sums its triangles' terms from 0.0 in ascending triangle
+    order (np.add.at applies its items in order), the order in which the
+    stencil product sums; a COO -> CSR conversion sums duplicates in an
+    order of its own."""
     p = mesh.nodes[mesh.triangles]
     e = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
     area = triangle_areas(mesh)
@@ -37,8 +41,10 @@ def reference_stiffness(mesh, xi):
     cols = number[np.tile(mesh.triangles, (1, 3)).ravel()]
     keep = (rows >= 0) & (cols >= 0)
     n = mesh.interior.size
-    return sp.coo_matrix((local.ravel()[keep], (rows[keep], cols[keep])),
-                         shape=(n, n)).tocsr()
+    entries, entry = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+    values = np.zeros(entries.size)
+    np.add.at(values, entry, local.ravel()[keep])
+    return sp.csr_array((values, np.divmod(entries, n)), shape=(n, n))
 
 
 def reference_mass(mesh):
@@ -63,18 +69,35 @@ def check_spd_structure(A, rtol=1e-12):
         raise ValueError("matrix diagonal has non-positive entries")
 
 
-def stencil_dense(mesh, stencil):
-    """One sample's dense interior stiffness from its stencil values: the
+def stencil_sparse(mesh, stencil):
+    """One sample's interior stiffness, CSR, from its stencil values: the
     red and black pivots, then the red-black couplings in the ordering's
     CSR layout, each placed at its two mirror positions."""
     rb = fem._geometry(mesh).red_black
     n_pivots = sum(rb.shape)
     red, black = rb.red[rb._coupling_row], rb.black[rb._indices]
-    A = np.zeros((mesh.interior.size,) * 2)
     pivots = np.concatenate([rb.red, rb.black])
-    A[pivots, pivots] = stencil[:n_pivots]
-    A[red, black] = A[black, red] = stencil[n_pivots:]
-    return A
+    couplings = stencil[n_pivots:]
+    return sp.csr_array(
+        (np.concatenate([stencil[:n_pivots], couplings, couplings]),
+         (np.concatenate([pivots, red, black]),
+          np.concatenate([pivots, black, red]))),
+        shape=(mesh.interior.size,) * 2)
+
+
+def stencil_dense(mesh, stencil):
+    return stencil_sparse(mesh, stencil).toarray()
+
+
+def assert_same_stiffness(actual, expected, rtol=0.0):
+    """The same stored nonzeros in the same places, and values equal to
+    rtol (exactly for rtol = 0)."""
+    for a in (actual, expected):
+        a.eliminate_zeros()
+        a.sort_indices()
+    np.testing.assert_array_equal(actual.indptr, expected.indptr)
+    np.testing.assert_array_equal(actual.indices, expected.indices)
+    np.testing.assert_allclose(actual.data, expected.data, rtol=rtol, atol=0.0)
 
 
 def pivot(mesh, node):
@@ -176,28 +199,57 @@ class TestAssembly:
             check_spd_structure(stiffness)
             assert np.linalg.eigvalsh(stiffness).min() > 0.0
 
-    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
     def test_band_matches_coo_assembly(self, level):
+        # on a dyadic grid every node coordinate is exact, so the element
+        # matrices' weights are exactly 1/2, 1 and -1/2 and the stencil's
+        # closed form gives the assembly's bits
         mesh = fem.build_mesh(2.0 ** -level)
         rng = np.random.default_rng(level)
         for _ in range(2):
             xi = rng.uniform(-1, 1, size=4)
-            expected = reference_stiffness(mesh, xi).toarray()
-            np.testing.assert_allclose(
-                stencil_dense(mesh, fem.assemble(mesh, xi)[0]), expected,
-                rtol=1e-14, atol=0.0)
+            assert_same_stiffness(
+                stencil_sparse(mesh, fem.assemble(mesh, xi)[0]),
+                reference_stiffness(mesh, xi))
 
-    def test_mass_symmetric_and_lumped_sums_to_area(self, mesh4):
-        M = reference_mass(mesh4)
-        assert abs(M - M.T).max() == 0.0
-        lumped = fem.lumped_weights(mesh4)
-        np.testing.assert_array_equal(lumped, np.asarray(M.sum(axis=1)).ravel())
-        assert lumped.sum() == pytest.approx(1.0, rel=1e-14)
+    @pytest.mark.parametrize("n", [3, 5, 10])
+    def test_non_dyadic_mesh_matches_coo_assembly(self, n):
+        # h = 1/n rounds the node coordinates, so the reference's per-
+        # triangle weights carry roundoff (0.49999999999999994 for 1/2) that
+        # the closed form does not: values within 1e-14, the same pattern.
+        # The interior grid is even for n = 3 and 5 and odd for n = 10, and
+        # the direct solve is right on both
+        mesh = fem.build_mesh(1.0 / n)
+        rng = np.random.default_rng(20 + n)
+        xi = rng.uniform(-1, 1, size=4)
+        expected = reference_stiffness(mesh, xi)
+        assert_same_stiffness(stencil_sparse(mesh, fem.assemble(mesh, xi)[0]),
+                              expected.copy(), rtol=1e-14)
+        M = reference_mass(mesh)
+        np.testing.assert_allclose(fem.lumped_weights(mesh),
+                                   np.asarray(M.sum(axis=1)).ravel(),
+                                   rtol=1e-14, atol=0.0)
+        u = rng.standard_normal(mesh.interior.size)
+        loads = fem.lumped_weights(mesh)[mesh.interior] * u
+        want = spsolve(expected.tocsc(), loads)
+        y = fem.solve_state(fem.factor(mesh, xi), u)[0]
+        assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_interior_lumped_weight_is_h_squared(self, mesh4):
-        h = mesh4.h
-        np.testing.assert_allclose(fem.lumped_weights(mesh4)[mesh4.interior],
-                                   np.full(9, h * h), rtol=1e-14)
+    def test_mass_symmetric_and_lumped_sums_to_area(self):
+        for level in (2, 3, 4, 5, 6):
+            mesh = fem.build_mesh(2.0 ** -level)
+            M = reference_mass(mesh)
+            assert abs(M - M.T).max() == 0.0
+            lumped = fem.lumped_weights(mesh)
+            np.testing.assert_array_equal(lumped,
+                                          np.asarray(M.sum(axis=1)).ravel())
+            assert lumped.sum() == pytest.approx(1.0, rel=1e-14)
+
+    def test_interior_lumped_weight_is_h_squared(self):
+        for level in (2, 3, 4, 5, 6):
+            mesh = fem.build_mesh(2.0 ** -level)
+            np.testing.assert_array_equal(
+                fem.lumped_weights(mesh)[mesh.interior], mesh.h * mesh.h)
 
     def test_mass_independent_of_sample(self, mesh4):
         # the weights are the mesh's, left as they were by every factor and
@@ -405,15 +457,30 @@ class TestSolves:
 
     def test_mesh_coupling_one_colour_is_rejected(self, mesh4):
         # moving the centre node off the grid takes the right angle from its
-        # triangles, so it couples to its diagonal neighbours of its colour
+        # triangles, so it would couple to its diagonal neighbours of its
+        # colour; the stencil is the grid's, so any other mesh is refused
         nodes = mesh4.nodes.copy()
         nodes[12] += [0.05, 0.02]
         bent = fem.StructuredMesh(h=mesh4.h, nodes=nodes,
                                   triangles=mesh4.triangles,
                                   boundary_mask=mesh4.boundary_mask,
                                   interior=mesh4.interior)
-        with pytest.raises(ValueError, match="one colour"):
+        with pytest.raises(ValueError, match="not the uniform grid"):
             fem.assemble(bent, np.zeros(4))
+
+    def test_off_grid_triangles_or_h_are_rejected(self, mesh4):
+        # the grid's nodes with every cell split along its other diagonal,
+        # and the grid of h = 1/4 labelled h = 1/8
+        t = mesh4.triangles  # (v00, v10, v11) and (v00, v11, v01) per cell
+        v00, v10, v11, v01 = t[0::2, 0], t[0::2, 1], t[0::2, 2], t[1::2, 2]
+        flipped = np.column_stack([v00, v10, v01, v10, v11, v01]).reshape(-1, 3)
+        for h, triangles in ((mesh4.h, flipped), (0.125, t)):
+            mesh = fem.StructuredMesh(h=h, nodes=mesh4.nodes,
+                                      triangles=triangles,
+                                      boundary_mask=mesh4.boundary_mask,
+                                      interior=mesh4.interior)
+            with pytest.raises(ValueError, match="not the uniform grid"):
+                fem.factor(mesh, np.zeros(4))
 
     def test_adjoint_identity(self, mesh4):
         # <u, p>_W == <y(u2), y - y_d>_W since p = K^{-1} W (y - y_d)

@@ -86,6 +86,22 @@ class TestQuadraticProblem:
             fd = (prob.smooth_value(u + e) - prob.smooth_value(u - e)) / (2 * eps)
             assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
+    def test_exact_grad_refuses_a_stack(self):
+        # a (dim, dim) stack would pass A @ u and come back with mixed rows,
+        # and (k, dim) would fail inside the product; both are refused, and
+        # so are the oracles built on exact_grad
+        prob = make_quadratic(sigma=0.1)
+        rng = np.random.default_rng(5)
+        for U in (rng.standard_normal((prob.dim, prob.dim)),
+                  rng.standard_normal((3, prob.dim)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="one point"):
+                prob.exact_grad(U)
+        U = rng.standard_normal((prob.dim, prob.dim))
+        with pytest.raises(ValueError, match="one point"):
+            prob.averaged_grad(U, rng, 2)
+        with pytest.raises(ValueError, match="one point"):
+            next(prob.sample_grads(U, rng, 2))
+
     def test_sigma_zero_oracle_is_exact(self):
         prob = make_quadratic(sigma=0.0)
         rng = np.random.default_rng(2)
