@@ -132,11 +132,11 @@ def build_mesh(h: float) -> StructuredMesh:
 
 def check_sample(xi: np.ndarray) -> np.ndarray:
     """One coefficient sample, shape (4,), or a stack of them, (m, 4), with
-    every component in [-1, 1]."""
+    every component in [-1, 1] (NaN is not)."""
     xi = np.asarray(xi, dtype=float)
     if xi.ndim not in (1, 2) or xi.shape[-1] != 4:
         raise ValueError(f"coefficient sample must have 4 components, got {xi.shape}")
-    if np.any(np.abs(xi) > 1.0):
+    if not np.all(np.abs(xi) <= 1.0):
         raise ValueError("coefficient sample components must lie in [-1, 1]")
     return xi
 

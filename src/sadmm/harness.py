@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import numbers
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -73,19 +74,24 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        # NaN passes the range checks below, and NaN or inf fails every run
+        # NaN passes the range checks below, and NaN or inf fails every run;
+        # a bool is a numbers.Real, and true would run as 1.0
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
+            raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.problem not in ("elliptic", "quadratic"):
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.regime not in ("strongly_convex", "convex"):
             raise ConfigError(f"unknown regime {self.regime!r}")
-        if self.runs < 1 or self.eval_samples < 1 or self.K < 1:
-            raise ConfigError("runs, eval_samples and K must all be >= 1")
+        for name in ("runs", "eval_samples", "K", "batch_floor", "l_est_calls"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if isinstance(self.methods, str):  # tuple() would split it into letters
             raise ConfigError(f"methods must be a list of method names, "
                               f"got the string {self.methods!r}")
@@ -117,10 +123,6 @@ class ExperimentConfig:
                               "expected 'paper_power' or 'constant'")
         if not 0.0 < self.mu < 1.0:
             raise ConfigError(f"mu must be in (0, 1), got {self.mu}")
-        if self.batch_floor < 1:
-            raise ConfigError(f"batch_floor must be >= 1, got {self.batch_floor}")
-        if self.l_est_calls < 1:
-            raise ConfigError(f"l_est_calls must be >= 1, got {self.l_est_calls}")
         if self.quad_sigma < 0.0:
             raise ConfigError(f"quad_sigma must be nonnegative, got {self.quad_sigma}")
         # an empty quadratic problem makes every method meaningless
@@ -185,13 +187,17 @@ class EnvelopeStats:
     max: np.ndarray
 
 
+def _rng(*key) -> np.random.Generator:
+    """The generator of the stream key (ints): every seeded stream is built here."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+
+
 def build_problem(cfg: ExperimentConfig):
     if cfg.problem == "elliptic":
         mesh = fem.build_mesh(cfg.mesh_h)
         return EllipticControlProblem(mesh, cfg.alpha, cfg.beta,
                                       u_min=cfg.u_min, u_max=cfg.u_max)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((cfg.seed, _QUAD_TAG))))
+    rng = _rng(cfg.seed, _QUAD_TAG)
     n = cfg.quad_dim
     G = rng.standard_normal((n, n))
     A = G * (math.sqrt(0.1) / np.linalg.norm(G, 2))
@@ -201,24 +207,18 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def _run_rng(cfg: ExperimentConfig, method: str, run_idx: int):
-    ss = np.random.SeedSequence((cfg.seed, _METHOD_IDS[method], run_idx))
-    run_seed = int(ss.generate_state(1)[0])
-    return np.random.Generator(np.random.Philox(ss)), run_seed
+    rng = _rng(cfg.seed, _METHOD_IDS[method], run_idx)
+    return rng, int(rng.bit_generator.seed_seq.generate_state(1)[0])
 
 
 def build_eval_set(cfg: ExperimentConfig, problem):
-    """What every method of the experiment configured by cfg is scored on:
-    the quadratic problem itself, whose objective is exact, or the elliptic
-    problem's frozen evaluation set of cfg.eval_samples samples."""
+    """What every method of cfg's experiment is scored on: the quadratic
+    problem itself, whose objective is exact, or the elliptic problem's
+    frozen eval set of cfg.eval_samples draws from _rng(cfg.seed, _EVAL_TAG)."""
     if isinstance(problem, QuadraticProblem):
         return problem
-    return FrozenEvalSet(problem, cfg.eval_samples, (cfg.seed, _EVAL_TAG))
-
-
-def _estimate_l_hat(cfg: ExperimentConfig, problem) -> float:
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence((cfg.seed, _LHAT_TAG))))
-    return estimate_L(problem, np.zeros(problem.dim), rng, n_calls=cfg.l_est_calls)
+    rng = _rng(cfg.seed, _EVAL_TAG)
+    return FrozenEvalSet(problem, problem.draw_samples(rng, cfg.eval_samples))
 
 
 def make_solver(method: str, cfg: ExperimentConfig, problem, batch,
@@ -240,7 +240,6 @@ def make_solver(method: str, cfg: ExperimentConfig, problem, batch,
 
 def sparsity_fraction(u: np.ndarray, w: np.ndarray) -> float:
     """Lumped-weight fraction of the domain where |u| exceeds 1e-12."""
-    u = np.asarray(u, dtype=float)
     return float(w[np.abs(u) > 1e-12].sum() / w.sum())
 
 
@@ -265,7 +264,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
     batch = BatchSchedule(rule=cfg.batch_rule, floor=cfg.batch_floor)
 
     needs_l = cfg.regime == "convex" or "spg" in cfg.methods
-    l_hat = _estimate_l_hat(cfg, problem) if needs_l else None
+    l_hat = (estimate_L(problem, np.zeros(problem.dim), _rng(cfg.seed, _LHAT_TAG),
+                        n_calls=cfg.l_est_calls) if needs_l else None)
 
     w = problem.weights
     records = []
@@ -468,7 +468,7 @@ def grad_check(seed: int = 0) -> CheckReport:
     h = 2^-4 with alpha = beta = 1e-5; each passes at relative error <= 1e-5."""
     mesh = fem.build_mesh(2.0 ** -4)
     problem = EllipticControlProblem(mesh, 1e-5, 1e-5)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _rng(seed)
     w = problem.weights
     fd_step = 1e-4
     details = []

@@ -21,9 +21,8 @@ from . import fem
 from .hilbert import (project_box, soft_threshold, wdot, wdot_rows,
                       weighted_l1_rows, wnorm)
 
-# Oracle samples, and eval samples whenever the eval set needs their
-# factors, are assembled and factored in stacks of this many: larger stacks
-# cost less per sample but more memory (measured in
+# Oracle and eval samples are assembled and factored in stacks of this many:
+# larger stacks cost less per sample but more memory (measured in
 # BENCH_batched_oracle.json).
 _CHUNK = 6
 # An eval sample solves the loads of at most this many iterates at once,
@@ -201,8 +200,12 @@ class EllipticControlProblem:
         return (0.5 * wnorm(y - self.y_d, self.state_weights) ** 2
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
+    def mean_grad(self, u: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        """The mean of grad at u over given samples xis (m, 4), _CHUNK at a time."""
+        return _row_mean((self.grad(u, c) for c in _chunks(xis)), len(xis))
+
     def averaged_grad(self, u: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-        return _row_mean([self.sample_grads(u, rng, m)], m)
+        return self.mean_grad(u, self.draw_samples(rng, m))
 
 
 class QuadraticProblem:
@@ -282,10 +285,9 @@ def _plus_l1(problem, u: np.ndarray, smooth: np.ndarray) -> float | np.ndarray:
 
 
 class FrozenEvalSet:
-    """The elliptic problem's sample set, drawn once and reused for every
-    telemetry evaluation (the quadratic problem scores itself exactly).
-
-    The set holds its samples, (n, 4), and no factor or factor storage.
+    """The elliptic problem's sample set: the points it is given, (n, 4),
+    reused for every telemetry evaluation (the quadratic problem scores
+    itself exactly). It draws nothing and holds no factor or factor storage.
     Every value it gives is a sample mean, taken by one pass function,
     mean(work): the mean (_row_mean) of the rows of work(factors) over the
     factors of each chunk of _CHUNK samples (red-black elimination, then a
@@ -303,26 +305,24 @@ class FrozenEvalSet:
     an experiment in one objective call factors each sample once.
 
     Every pass over the samples (_in_order) runs one lane per CPU the
-    process may use (os.sched_getaffinity), each lane factoring and solving
-    whole chunks with BLAS at one thread per call. With more than one lane
-    the lanes are pool threads and the calling thread waits for their
-    results; a streamed pass opens a pool of its own, and a held block one
-    pool for all its passes. The results come back in sample order and are
-    added in it, so every value is the same, bit for bit, whatever the
-    number of lanes.
+    process may use, on pool threads while the caller waits (a streamed
+    pass opens a pool of its own, a held block one for all its passes),
+    with BLAS at one thread per call. The results are added in sample
+    order, so every value is the same, bit for bit, whatever the number of
+    lanes.
     """
 
-    def __init__(self, problem: EllipticControlProblem, n_samples: int, seed):
+    def __init__(self, problem: EllipticControlProblem, samples: np.ndarray):
         if not isinstance(problem, EllipticControlProblem):
-            raise TypeError(f"FrozenEvalSet samples an EllipticControlProblem, "
+            raise TypeError(f"FrozenEvalSet scores an EllipticControlProblem, "
                             f"got {type(problem).__name__}")
-        if n_samples < 1:
-            raise ValueError("eval_samples must be >= 1")
+        self.samples = fem.check_sample(samples)
+        if self.samples.ndim != 2 or not len(self.samples):
+            raise ValueError(f"eval samples must be (n, 4) with n >= 1, got "
+                             f"{self.samples.shape}")
         self.problem = problem
         # No per-sample operators are kept; perfbench/child.py reads _ops.
         self._ops = None
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        self.samples = problem.draw_samples(rng, n_samples)
         mesh = problem.mesh
         rb = fem._geometry(mesh).red_black
         # (nodes, target, weights) of the red and of the black nodes

@@ -22,7 +22,8 @@ def write_cfg(tmp_path, **overrides):
 # make a method meaningless, that repeat a method (its runs would repeat on
 # the same run seeds), counts that are not nonnegative integers (a float K
 # would fail every run, each logged and dropped), or floats that are not
-# finite (a NaN alpha would fail every run the same way), by the field the
+# finite (a NaN alpha would fail every run the same way) or that are bools
+# (true would run as 1.0), or an out_dir that is not a path, by the field the
 # error message must name; each field's configs are checked in turn
 REJECTED_BELOW_CONFIG = {
     "l_est_calls": [{"l_est_calls": 0}],
@@ -41,7 +42,8 @@ REJECTED_BELOW_CONFIG = {
     "runs": [{"runs": 1.0}],
     "eval_samples": [{"eval_samples": True}],
     "seed": [{"seed": -1}],
-    "alpha": [{"alpha": float("nan")}],
+    "alpha": [{"alpha": float("nan")}, {"alpha": True}],
+    "out_dir": [{"out_dir": 5}],
     "u_max": [{"u_max": float("inf")}],
 }
 

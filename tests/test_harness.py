@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, telemetry, artifacts, statistics."""
 
 import csv
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -65,6 +66,12 @@ class TestConfig:
         {"problem": "quadratic", "mesh_h": float("nan")},
         {"problem": "quadratic", "mesh_h": "x"},
         {"problem": "elliptic", "mesh_h": 1.0},
+        # a bool is a numbers.Real, and true would run as 1.0
+        {"alpha": True},
+        {"beta": True},
+        # an out_dir that is not a path
+        {"out_dir": 5},
+        {"out_dir": ["out"]},
     ])
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ConfigError):
@@ -176,6 +183,17 @@ class TestBuildProblem:
         cfg = ExperimentConfig(problem="elliptic", mesh_h=0.25, alpha=1e-4)
         prob = build_problem(cfg)
         assert prob.dim == 9
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "7da370aa078b794c2adab23cb10609774ca18b4d6e0aca13592512de76989ff5"),
+        (7, "0c24a174cb2821caec111ca7e10e769ae789c259f60159b244cd53ee449281d0"),
+    ], ids=["seed0", "seed7"])
+    def test_eval_samples_are_pinned(self, seed, digest):
+        # the default config's 200 eval samples, as every earlier version drew
+        # them: a moved stream would move F* and every elliptic objective
+        cfg = ExperimentConfig(seed=seed)
+        samples = harness.build_eval_set(cfg, build_problem(cfg)).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
 
 class TestRunExperiment:

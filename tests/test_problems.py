@@ -32,6 +32,11 @@ def empirical_objective(problem, u, samples):
     return mean + l1_term(problem, u)
 
 
+def eval_set(problem, n, key=(0,)):
+    """A FrozenEvalSet of n samples drawn from the stream of key."""
+    return FrozenEvalSet(problem, problem.draw_samples(harness._rng(*key), n))
+
+
 def fail_in_helper_lanes(monkeypatch):
     """Make fem.factor raise LinAlgError in every thread but the calling one.
     While a helper thread is alive, the calling thread's own factor calls
@@ -160,7 +165,7 @@ class TestQuadraticProblem:
         # the quadratic's exact L and the eval set's power-iteration L, each
         # in its problem's W-norm
         prob = make_quadratic(sigma=0.0)
-        ev = FrozenEvalSet(elliptic, 3, 0)
+        ev = eval_set(elliptic, 3)
         rng = np.random.default_rng(5)
         for grad, L, w in ((prob.exact_grad, prob.smooth_lipschitz(), prob.weights),
                            (ev.smooth_grad, ev.smooth_lipschitz(), elliptic.weights)):
@@ -209,8 +214,8 @@ class TestEllipticProblem:
                   - elliptic.smooth_value(u - eps * d, xi)) / (2 * eps)
             assert wdot(elliptic.grad(u, xi), d, w) == pytest.approx(fd, rel=1e-6)
         # the eval set's exact gradient; at beta = 0 its objective is smooth
-        ev = FrozenEvalSet(EllipticControlProblem(elliptic.mesh, elliptic.alpha,
-                                                  beta=0.0), 4, 0)
+        ev = eval_set(EllipticControlProblem(elliptic.mesh, elliptic.alpha,
+                                             beta=0.0), 4)
         fd = (ev.objective(u + eps * d) - ev.objective(u - eps * d)) / (2 * eps)
         assert wdot(ev.smooth_grad(u), d, w) == pytest.approx(fd, rel=1e-6)
 
@@ -310,7 +315,7 @@ class TestEllipticProblem:
             self, elliptic, monkeypatch):
         # the eval set's gradient runs the oracle's chain, so at u = 0 it
         # solves no state either; 13 samples make chunks of 6, 6 and 1
-        ev = FrozenEvalSet(elliptic, 13, 0)
+        ev = eval_set(elliptic, 13)
         u = np.zeros(elliptic.dim)
         factor = fem.factor(elliptic.mesh, ev.samples)
         p = fem.solve_adjoint(factor, fem.solve_state(factor, u),
@@ -360,16 +365,25 @@ class TestEllipticProblem:
     def test_sample_values_do_not_depend_on_stack_size(self, monkeypatch):
         # the experiment's L-estimate stream at h = 2^-5, seed 11: every
         # per-sample gradient, and so every norm of one, is the same bit for
-        # bit whether the oracle solves it alone or in a stack
+        # bit whether the oracle solves it alone or in a stack, and the mean
+        # over given points is the averaged oracle's on the same draw
         cfg = harness.ExperimentConfig(seed=11, l_est_calls=52)
+        key = (cfg.seed, harness._LHAT_TAG)
         l_hats, averages = [], []
         for chunk in (1, 4, 6, 13):
             monkeypatch.setattr(problems, "_CHUNK", chunk)
             prob = harness.build_problem(cfg)
-            l_hats.append(harness._estimate_l_hat(cfg, prob))
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence((cfg.seed, harness._LHAT_TAG))))
-            averages.append(prob.averaged_grad(np.ones(prob.dim), rng, 17))
+            l_hats.append(estimate_L(prob, np.zeros(prob.dim),
+                                     harness._rng(*key), n_calls=52))
+            u = np.ones(prob.dim)
+            averages.append(prob.averaged_grad(u, harness._rng(*key), 17))
+            xis = prob.draw_samples(harness._rng(*key), 17)
+            assert prob.mean_grad(u, xis).tobytes() == averages[-1].tobytes()
+        # one sample at a time, added in sample order
+        total = 0.0
+        for xi in xis:
+            total = total + prob.grad(u, xi)
+        assert (total / len(xis)).tobytes() == averages[0].tobytes()
         assert l_hats == [l_hats[0]] * 4
         for average in averages[1:]:
             np.testing.assert_array_equal(average, averages[0])
@@ -399,14 +413,14 @@ class TestObjectives:
 
     def test_frozen_eval_set_deterministic(self, elliptic):
         u = np.linspace(-1.0, 1.0, elliptic.dim)
-        a = FrozenEvalSet(elliptic, 5, (0, 42)).objective(u)
-        b = FrozenEvalSet(elliptic, 5, (0, 42)).objective(u)
-        c = FrozenEvalSet(elliptic, 5, (0, 43)).objective(u)
+        a = eval_set(elliptic, 5, (0, 42)).objective(u)
+        b = eval_set(elliptic, 5, (0, 42)).objective(u)
+        c = eval_set(elliptic, 5, (0, 43)).objective(u)
         assert a == b and a != c
 
     def test_frozen_eval_set_matches_empirical_objective(self, elliptic):
         u = np.linspace(-1.0, 1.0, elliptic.dim)
-        ev = FrozenEvalSet(elliptic, 4, 0)
+        ev = eval_set(elliptic, 4)
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
         np.testing.assert_allclose(
@@ -419,11 +433,11 @@ class TestObjectives:
         # the oracle factors into storage it reuses; the eval set's factors,
         # within one stack or over several, must not share it
         u = np.linspace(-1.0, 1.0, elliptic.dim)
-        ev = FrozenEvalSet(elliptic, n_samples, 0)
+        ev = eval_set(elliptic, n_samples)
         before = ev.objective(u)
         elliptic.averaged_grad(u, np.random.default_rng(12), 13)
         assert ev.objective(u) == before
-        assert before == FrozenEvalSet(elliptic, n_samples, 0).objective(u)
+        assert before == eval_set(elliptic, n_samples).objective(u)
         assert ev.objective(u) == pytest.approx(
             empirical_objective(elliptic, u, ev.samples), rel=1e-10)
 
@@ -436,7 +450,7 @@ class TestObjectives:
         monkeypatch.setattr(problems, "_lane_count", lambda: lanes)
         prob = EllipticControlProblem(elliptic.mesh, elliptic.alpha,
                                       elliptic.beta)
-        ev = FrozenEvalSet(prob, 2 * problems._CHUNK + 5, 0)  # 3 chunks
+        ev = eval_set(prob, 2 * problems._CHUNK + 5)  # 3 chunks
         u = np.linspace(-1.0, 1.0, prob.dim)
         ev.objective(np.stack([u, -u]))
         ev.smooth_grad(u)
@@ -509,7 +523,7 @@ class TestObjectives:
                                                           monkeypatch):
         # a sample solves at most _COLUMNS iterates at once; more are split
         # into blocks without changing any value
-        ev = FrozenEvalSet(elliptic, 7, 0)
+        ev = eval_set(elliptic, 7)
         us = np.random.default_rng(14).uniform(-2.0, 2.0, size=(7, elliptic.dim))
         monkeypatch.setattr(problems, "_COLUMNS", 3)
         assert ev.objective(us).tolist() == [ev.objective(u) for u in us]
@@ -518,7 +532,7 @@ class TestObjectives:
         # the elliptic eval set's objective, and the quadratic problem's own
         quad = make_quadratic()
         rng = np.random.default_rng(11)
-        for prob, scorer in ((elliptic, FrozenEvalSet(elliptic, 5, 0)),
+        for prob, scorer in ((elliptic, eval_set(elliptic, 5)),
                              (quad, quad)):
             us = rng.uniform(-2.0, 2.0, size=(4, prob.dim))
             assert scorer.objective(us).tolist() == [scorer.objective(u)
@@ -526,11 +540,18 @@ class TestObjectives:
             assert type(scorer.objective(us[0])) is float
 
     def test_frozen_eval_set_validation(self, elliptic):
-        with pytest.raises(ValueError, match="eval_samples"):
-            FrozenEvalSet(elliptic, 0, 0)
+        # no sample, and one sample that is not a stack of them
+        for samples in (np.zeros((0, 4)), np.zeros(4)):
+            with pytest.raises(ValueError, match=r"\(n, 4\) with n >= 1"):
+                FrozenEvalSet(elliptic, samples)
+        for bad in (-1.01, np.nan):  # a point outside [-1, 1]^4
+            outside = np.zeros((3, 4))
+            outside[1, 2] = bad
+            with pytest.raises(ValueError, match=r"lie in \[-1, 1\]"):
+                FrozenEvalSet(elliptic, outside)
         # the quadratic problem has nothing to sample
         with pytest.raises(TypeError, match="EllipticControlProblem"):
-            FrozenEvalSet(make_quadratic(), 3, 0)
+            FrozenEvalSet(make_quadratic(), np.zeros((3, 4)))
 
 
 class TestEvalLanes:
@@ -538,7 +559,7 @@ class TestEvalLanes:
     depends on the lane count, and no helper thread outlives its call."""
 
     def test_values_do_not_depend_on_lane_count(self, elliptic, monkeypatch):
-        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)  # 3 chunks
+        ev = eval_set(elliptic, 2 * problems._CHUNK + 5)  # 3 chunks
         us = np.random.default_rng(20).uniform(-2.0, 2.0, size=(5, elliptic.dim))
         calls = (lambda: ev.objective(us), lambda: ev.smooth_grad(us[0]),
                  lambda: ev.smooth_lipschitz(), lambda: ev.optimum().u)
@@ -559,7 +580,7 @@ class TestEvalLanes:
                                       "smooth_lipschitz", "optimum"])
     def test_helper_lane_error_reaches_caller(self, elliptic, monkeypatch,
                                               call):
-        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
+        ev = eval_set(elliptic, 2 * problems._CHUNK + 5)
         monkeypatch.setattr(problems, "_lane_count", lambda: 2)
         threads = threading.active_count()
         fail_in_helper_lanes(monkeypatch)
@@ -579,7 +600,7 @@ class TestEvalLanes:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
+        ev = eval_set(elliptic, 2 * problems._CHUNK + 5)
         u = np.ones(elliptic.dim)
         monkeypatch.setattr(problems, "_lane_count", lambda: 2)
         monkeypatch.setattr(problems, "ThreadPoolExecutor", CountingPool)
@@ -620,7 +641,7 @@ class TestReferenceOptimum:
     def test_fixed_point_and_optimality(self, elliptic):
         # the quadratic problem's optimum, then the elliptic eval set's
         quad = make_quadratic(alpha=1.0, beta=0.3, sigma=0.0)
-        ev = FrozenEvalSet(elliptic, 3, 0)
+        ev = eval_set(elliptic, 3)
         rng = np.random.default_rng(10)
         for prob, ref, grad, L, objective in (
                 (quad, reference_optimum(quad), quad.exact_grad,
@@ -642,7 +663,7 @@ class TestReferenceOptimum:
     def test_optimum_factors_each_sample_once(self, elliptic, monkeypatch):
         # the gradients and the final scoring share one factorization of
         # every sample, and the held factors score like streamed ones
-        ev = FrozenEvalSet(elliptic, 2 * problems._CHUNK + 5, 0)
+        ev = eval_set(elliptic, 2 * problems._CHUNK + 5)
         factor, rows = fem.factor, []
 
         def counting_factor(mesh, xi, *args, **kwargs):
