@@ -16,9 +16,8 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .hilbert import project_box, soft_threshold, wdot, wnorm
-from .fem import (StructuredMesh, assemble, build_mesh, checkerboard_target,
-                  coefficient, factor, interpolate, l2_error, lumped_weights,
-                  solve_adjoint, solve_state)
+from .fem import (StructuredMesh, assemble, checkerboard_target, coefficient,
+                  factor, interpolate, l2_error, solve_adjoint, solve_state)
 from .problems import (EllipticControlProblem, FrozenEvalSet,
                        QuadraticProblem, reference_optimum)
 from .optim import (AdaSgSolver, AdmmParams, AdmmSolver, AdmmState,

@@ -21,10 +21,8 @@ PAPER_SCALE_EVAL_SAMPLES = 10 ** 4
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-    else:
-        cfg = ExperimentConfig()
+    cfg = (ExperimentConfig.from_json(args.config) if args.config
+           else ExperimentConfig())
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -43,7 +41,11 @@ def _load_config(args) -> ExperimentConfig:
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out_dir or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory {out}: "
+                          f"{exc.strerror}") from exc
     return out
 
 
@@ -59,11 +61,8 @@ def cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
     records = harness.run_experiment(cfg, out_dir=out)
-    series = {}
-    for method in cfg.methods:
-        ks, mean_obj = harness.mean_by_k(records, method, "objective")
-        series[method] = (ks, mean_obj)
-    emit_svg(series, out / "compare.svg")
+    emit_svg({method: harness.mean_by_k(records, method, "objective")
+              for method in cfg.methods}, out / "compare.svg")
     print(f"wrote {out / 'compare.svg'}")
     return 0
 
@@ -115,7 +114,8 @@ def cmd_rate(args) -> int:
         raise ConfigError(f"K={cfg.K} leaves {max(n_points, 0)} iterations "
                           f"in [{k_range[0]}, {k_range[1]}]; the slope fit "
                           "needs at least 5 (see --k-min and --k-max)")
-    records = harness.run_experiment(cfg, out_dir=cfg.out_dir)
+    out = _out_dir(cfg) if cfg.out_dir else None
+    records = harness.run_experiment(cfg, out_dir=out)
     ref = reference_optimum(harness.build_problem(cfg))
     slope = harness.fit_rate_slope(records, k_range, ref.objective)
     print(f"objective-gap log-log slope over k in {k_range}: {slope:.4f}")

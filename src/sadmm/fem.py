@@ -1,9 +1,10 @@
 """P1 triangular finite elements on the unit square with a random diffusion field.
 
-The mesh is a structured grid of right triangles, every cell split along the
-same diagonal, and fem assembles on no other mesh: the stiffness's weights
-per triangle, the lumped-mass weights and the node colouring below come from
-the grid's indices in closed form. The stiffness matrix uses one-point
+The mesh is the structured grid of right triangles of spacing h, every cell
+split along the same diagonal, and StructuredMesh(h) can be no other mesh:
+its constructor builds, once and from the grid's indices in closed form, the
+stiffness's weights per triangle, the lumped-mass weights and the node
+colouring that fem reads. The stiffness matrix uses one-point
 (centroid) quadrature for the variable coefficient; Dirichlet conditions are
 eliminated to an interior-only SPD system. On this mesh the stiffness is
 exactly a 5-point stencil (the coupling across each cell's diagonal is 0.0),
@@ -37,7 +38,6 @@ import importlib.util
 import os
 import sys
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -78,16 +78,78 @@ cython_lapack = _load_cython_lapack()
 splu = cg_solve = None
 
 
-@dataclass(frozen=True, eq=False)
 class StructuredMesh:
-    """The uniform grid that build_mesh(h) makes; assembly raises ValueError
-    for any other nodes, triangles, boundary or interior."""
+    """The uniform right-triangle grid of [0,1]^2 with spacing h, and every
+    sample-independent array that assembly and the solves read, built once
+    from the grid's indices.
 
-    h: float
-    nodes: np.ndarray  # (n, 2)
-    triangles: np.ndarray  # (m, 3) node indices, positively oriented
-    boundary_mask: np.ndarray  # (n,) bool
-    interior: np.ndarray  # indices of interior nodes
+    Nodes are numbered row by row from (0, 0), and every cell is split along
+    its lower-left to upper-right diagonal. On this grid every interior node
+    (i, j) lies in six triangles. Its pivot sums a(centroid) over them, in
+    ascending order, with weights 1/2, 1/2, 1, 1, 1/2, 1/2 (1 where the node
+    is the right angle); each grid edge between two interior nodes couples
+    them with -1/2 on each of its two triangles, and a cell's diagonal
+    couples nothing. Red interior nodes have i + j even (see
+    RedBlackOrdering).
+    """
+
+    def __init__(self, h: float):
+        n = grid_divisions(h)
+        self.h = h
+        xs = np.linspace(0.0, 1.0, n + 1)
+        gx, gy = np.meshgrid(xs, xs, indexing="xy")
+        self.nodes = np.column_stack([gx.ravel(), gy.ravel()])  # (n_nodes, 2)
+        # the lower-left node of each cell, cells row by row; both triangles
+        # of a cell share its lower-left to upper-right diagonal
+        v00 = (np.arange(n, dtype=np.int64)[:, None] * (n + 1)
+               + np.arange(n)).ravel()
+        v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+        # (2 n^2, 3) node indices, positively oriented
+        self.triangles = np.column_stack(
+            [v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+        x, y = self.nodes[:, 0], self.nodes[:, 1]
+        self.boundary_mask = (x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0)
+        self.interior = np.nonzero(~self.boundary_mask)[0]
+
+        p = self.nodes[self.triangles]
+        self.centroid_modes = _log_coefficient_modes(
+            (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0)
+        # the lumped-mass weights W of all nodes, the row sums of the
+        # consistent mass: each node's share of its triangles' area/12 *
+        # (1 + delta_ij) is area/3 = h^2/6 per triangle
+        self.lumped = check_weights(
+            np.bincount(self.triangles.ravel(), minlength=self.n_nodes)
+            * (h * h / 6.0), domain_area=1.0)
+
+        # the interior node k is grid node (i + 1, j + 1), (j, i) = divmod(k,
+        # side); red nodes have i + j even
+        side = n - 1
+        j, i = np.divmod(np.arange(side * side), side)
+        red = (i + j) % 2 == 0
+        number = np.where(red, np.cumsum(red), np.cumsum(~red)) - 1
+        # a node's lowest triangle is the lower one of cell (i, j), the cell
+        # it is the upper-right corner of: triangles 2c and 2c + 1 are cell
+        # c's lower and upper
+        first = 2 * (j * n + i)
+        pivots = np.concatenate([first[red], first[~red]])[:, None] \
+            + [0, 1, 3, 2 * n, 2 * n + 2, 2 * n + 3]
+        # each red node's edges to its south, west, east and north
+        # neighbours, in ascending black number, with their two triangles
+        r = np.nonzero(red)[0]
+        rows, edge = np.nonzero(np.column_stack(
+            [j[r] > 0, i[r] > 0, i[r] < side - 1, j[r] < side - 1]))
+        cols = number[r[rows] + np.array([-side, -1, 1, side])[edge]]
+        edges = first[r[rows], None] + np.array(
+            [[0, 3], [1, 2 * n], [3, 2 * n + 2], [2 * n, 2 * n + 3]])[edge]
+        self.red_black = RedBlackOrdering(red, rows, cols)
+        # the stiffness at its stencil is stencil_matrix @ a(centroids)
+        self.stencil_matrix = sp.csr_array(
+            (np.concatenate([np.tile([0.5, 0.5, 1.0, 1.0, 0.5, 0.5], red.size),
+                             np.full(edges.size, -0.5)]),
+             np.concatenate([pivots.ravel(), edges.ravel()]),
+             np.concatenate([np.arange(0, 6 * red.size, 6),
+                             6 * red.size + np.arange(0, edges.size + 1, 2)])),
+            shape=(red.size + rows.size, self.triangles.shape[0]))
 
     @property
     def n_nodes(self) -> int:
@@ -103,31 +165,6 @@ def grid_divisions(h: float) -> int:
     if abs(n_div - round(n_div)) > 1e-12 or round(n_div) < 1:
         raise ValueError(f"1/h must be a positive integer, got h={h}")
     return int(round(n_div))
-
-
-def build_mesh(h: float) -> StructuredMesh:
-    """Uniform right-triangle mesh of [0,1]^2 with grid spacing h."""
-    n = grid_divisions(h)
-
-    xs = np.linspace(0.0, 1.0, n + 1)
-    gx, gy = np.meshgrid(xs, xs, indexing="xy")
-    nodes = np.column_stack([gx.ravel(), gy.ravel()])
-
-    # the lower-left node of each cell, cells row by row; both triangles of a
-    # cell share its lower-left to upper-right diagonal
-    v00 = (np.arange(n, dtype=np.int64)[:, None] * (n + 1) + np.arange(n)).ravel()
-    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
-    triangles = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-
-    boundary = (
-        (nodes[:, 0] == 0.0)
-        | (nodes[:, 0] == 1.0)
-        | (nodes[:, 1] == 0.0)
-        | (nodes[:, 1] == 1.0)
-    )
-    interior = np.nonzero(~boundary)[0]
-    return StructuredMesh(h=h, nodes=nodes, triangles=triangles,
-                          boundary_mask=boundary, interior=interior)
 
 
 def check_sample(xi: np.ndarray) -> np.ndarray:
@@ -269,17 +306,13 @@ class RedBlackFactor:
     @classmethod
     def empty(cls, mesh: StructuredMesh, m: int) -> "RedBlackFactor":
         """Uninitialized storage for the factors of a stack of m samples."""
-        rb = _geometry(mesh).red_black
+        rb = mesh.red_black
         (n_red, n_black), (rows, _) = rb.shape, rb.schur_shape
         # each sample's band is a C-ordered (n_black, rows) block, read
         # transposed as the F-ordered (rows, n_black) array LAPACK takes
         return cls(mesh=mesh, red_diag=np.empty((m, n_red)),
                    scaled=np.empty((m, rb._indices.size)),
                    schur=np.empty((m, n_black, rows)).transpose(0, 2, 1))
-
-    @property
-    def ordering(self) -> RedBlackOrdering:
-        return _geometry(self.mesh).red_black
 
     def __len__(self) -> int:
         return self.red_diag.shape[0]
@@ -301,7 +334,7 @@ class RedBlackFactor:
         same way. The eliminations of the whole stack are one block-diagonal
         product, and each column is bit-for-bit the one a single right-hand
         side, or a stack of one, gives."""
-        eliminate, eliminate_t = self.ordering._coupling(self.scaled)
+        eliminate, eliminate_t = self.mesh.red_black._coupling(self.scaled)
         (m, n_black, k), n_red = f_black.shape, f_red.shape[1]
         # each sample's (n_black, k) block in the Fortran order dpbtrs solves
         # in place
@@ -416,7 +449,7 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     dpbtrf rejects a Schur complement, rather than returning a partial
     factor.
     """
-    rb = _geometry(mesh).red_black
+    rb = mesh.red_black
     stencil = np.asarray(stencil, dtype=float)
     m, _ = stencil.shape
     # one column per sample, the layout the assembly product gives: every
@@ -456,7 +489,7 @@ def band_solve(factor: RedBlackFactor, rhs: np.ndarray) -> np.ndarray:
     """Solve K x = rhs given red_black_cholesky's factor of a stack of m
     stiffnesses K, in the interior numbering: rhs (m, n, k) holds k
     right-hand sides per sample, and x has its shape."""
-    rb = factor.ordering
+    rb = factor.mesh.red_black
     f = np.asarray(rhs, dtype=float)
     x = np.empty(f.shape)
     x[:, rb.red], x[:, rb.black] = factor.solve(
@@ -464,95 +497,18 @@ def band_solve(factor: RedBlackFactor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-class _MeshGeometry:
-    """Sample-independent assembly data, computed once per mesh from the
-    indices of its grid (see build_mesh).
-
-    On the n x n grid of right triangles every interior node (i, j) lies in
-    six triangles. Its pivot sums a(centroid) over them, in ascending order,
-    with weights 1/2, 1/2, 1, 1, 1/2, 1/2 (1 where the node is the right
-    angle); each grid edge between two interior nodes couples them with -1/2
-    on each of its two triangles, and a cell's diagonal couples nothing.
-    """
-
-    def __init__(self, mesh: StructuredMesh):
-        grid = build_mesh(mesh.h)
-        if not all(np.array_equal(getattr(mesh, name), getattr(grid, name))
-                   for name in ("nodes", "triangles", "boundary_mask",
-                                "interior")):
-            raise ValueError(f"the mesh is not the uniform grid of h={mesh.h}, "
-                             "so its stencil does not apply")
-        p = mesh.nodes[mesh.triangles]
-        self.centroid_modes = _log_coefficient_modes(
-            (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0)
-        # each node's share of its triangles' consistent mass area/12 *
-        # (1 + delta_ij) is area/3 = h^2/6 per triangle
-        self.lumped = check_weights(
-            np.bincount(mesh.triangles.ravel(), minlength=mesh.n_nodes)
-            * (mesh.h * mesh.h / 6.0), domain_area=1.0)
-
-        # the interior node k is grid node (i + 1, j + 1), (j, i) = divmod(k,
-        # side); red nodes have i + j even
-        n = grid_divisions(mesh.h)
-        side = n - 1
-        j, i = np.divmod(np.arange(side * side), side)
-        red = (i + j) % 2 == 0
-        number = np.where(red, np.cumsum(red), np.cumsum(~red)) - 1
-        # a node's lowest triangle is the lower one of cell (i, j), the cell
-        # it is the upper-right corner of: triangles 2c and 2c + 1 are cell
-        # c's lower and upper
-        first = 2 * (j * n + i)
-        pivots = np.concatenate([first[red], first[~red]])[:, None] \
-            + [0, 1, 3, 2 * n, 2 * n + 2, 2 * n + 3]
-        # each red node's edges to its south, west, east and north
-        # neighbours, in ascending black number, with their two triangles
-        r = np.nonzero(red)[0]
-        rows, edge = np.nonzero(np.column_stack(
-            [j[r] > 0, i[r] > 0, i[r] < side - 1, j[r] < side - 1]))
-        cols = number[r[rows] + np.array([-side, -1, 1, side])[edge]]
-        edges = first[r[rows], None] + np.array(
-            [[0, 3], [1, 2 * n], [3, 2 * n + 2], [2 * n, 2 * n + 3]])[edge]
-        self.red_black = RedBlackOrdering(red, rows, cols)
-        self.stencil_matrix = sp.csr_array(
-            (np.concatenate([np.tile([0.5, 0.5, 1.0, 1.0, 0.5, 0.5], red.size),
-                             np.full(edges.size, -0.5)]),
-             np.concatenate([pivots.ravel(), edges.ravel()]),
-             np.concatenate([np.arange(0, 6 * red.size, 6),
-                             6 * red.size + np.arange(0, edges.size + 1, 2)])),
-            shape=(red.size + rows.size, mesh.triangles.shape[0]))
-
-
-_geometry_cache: "weakref.WeakKeyDictionary[StructuredMesh, _MeshGeometry]" = \
-    weakref.WeakKeyDictionary()
-
-
-def _geometry(mesh: StructuredMesh) -> _MeshGeometry:
-    geo = _geometry_cache.get(mesh)
-    if geo is None:
-        geo = _MeshGeometry(mesh)
-        _geometry_cache[mesh] = geo
-    return geo
-
-
-def lumped_weights(mesh: StructuredMesh) -> np.ndarray:
-    """The lumped-mass weights W of all mesh nodes, the row sums of the
-    consistent mass; they do not depend on the coefficient sample."""
-    return _geometry(mesh).lumped
-
-
 def assemble(mesh: StructuredMesh, xi: np.ndarray) -> np.ndarray:
     """The interior stiffness (coefficient at centroids, Dirichlet rows and
     columns eliminated) at its stencil (see RedBlackOrdering), (m, n_stencil)
     for a stack of samples xi (m, 4); one sample (4,) is a stack of one."""
-    geo = _geometry(mesh)
     xi = np.atleast_2d(check_sample(xi))
     # the coefficient fields at the centroids, one per sample, from modes
     # computed once per mesh. One batched matrix-vector product keeps each
     # field independent of the stack it is in, which a matrix-matrix
     # product, rounding differently, would not.
-    fields = np.matmul(geo.centroid_modes, xi[:, :, None])
+    fields = np.matmul(mesh.centroid_modes, xi[:, :, None])
     np.exp(fields, out=fields)
-    return (geo.stencil_matrix @ fields[:, :, 0].T).T
+    return (mesh.stencil_matrix @ fields[:, :, 0].T).T
 
 
 def factor(mesh: StructuredMesh, xi: np.ndarray,
@@ -574,7 +530,7 @@ def solve_state(factor: RedBlackFactor, u: np.ndarray) -> np.ndarray:
     from one k-column band_solve, each bit for bit what its control gives.
     """
     mesh = factor.mesh
-    loads = lumped_weights(mesh)[mesh.interior] * np.atleast_2d(u)
+    loads = mesh.lumped[mesh.interior] * np.atleast_2d(u)
     y = band_solve(factor, loads.T[None].repeat(len(factor), axis=0))
     y = np.ascontiguousarray(y.transpose(0, 2, 1))
     return y if np.ndim(u) == 2 else y[:, 0]
@@ -589,7 +545,7 @@ def solve_adjoint(factor: RedBlackFactor, y: np.ndarray,
     if np.shape(y)[-1:] != y_d.shape:
         raise ValueError("state and target live on different meshes")
     mesh = factor.mesh
-    rhs = lumped_weights(mesh)[mesh.interior] * (y - y_d)
+    rhs = mesh.lumped[mesh.interior] * (y - y_d)
     p = band_solve(factor, rhs.reshape(len(rhs), -1, len(y_d)).transpose(0, 2, 1))
     return np.ascontiguousarray(p.transpose(0, 2, 1)).reshape(rhs.shape)
 

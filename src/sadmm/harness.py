@@ -140,8 +140,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
+        if not isinstance(d, dict):
+            raise ConfigError(f"a config is a JSON object, got {d!r:.60}")
+        bad = set(d) - set(cls.__dataclass_fields__)
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
         try:
@@ -194,9 +195,8 @@ def _rng(*key) -> np.random.Generator:
 
 def build_problem(cfg: ExperimentConfig):
     if cfg.problem == "elliptic":
-        mesh = fem.build_mesh(cfg.mesh_h)
-        return EllipticControlProblem(mesh, cfg.alpha, cfg.beta,
-                                      u_min=cfg.u_min, u_max=cfg.u_max)
+        return EllipticControlProblem(fem.StructuredMesh(cfg.mesh_h), cfg.alpha,
+                                      cfg.beta, u_min=cfg.u_min, u_max=cfg.u_max)
     rng = _rng(cfg.seed, _QUAD_TAG)
     n = cfg.quad_dim
     G = rng.standard_normal((n, n))
@@ -466,7 +466,7 @@ def grad_check(seed: int = 0) -> CheckReport:
     """Central finite differences (step 1e-4) of the per-sample smooth value
     against the adjoint gradient, at 3 random controls and directions on
     h = 2^-4 with alpha = beta = 1e-5; each passes at relative error <= 1e-5."""
-    mesh = fem.build_mesh(2.0 ** -4)
+    mesh = fem.StructuredMesh(2.0 ** -4)
     problem = EllipticControlProblem(mesh, 1e-5, 1e-5)
     rng = _rng(seed)
     w = problem.weights
@@ -496,12 +496,12 @@ def fem_verify() -> CheckReport:
     forcing = lambda x1, x2: 2.0 * np.pi ** 2 * exact(x1, x2)
     errors = []
     for h in h_list:
-        mesh = fem.build_mesh(h)
+        mesh = fem.StructuredMesh(h)
         y = np.zeros(mesh.n_nodes)
         y[mesh.interior] = fem.solve_state(
             fem.factor(mesh, np.zeros(4)),
             fem.interpolate(mesh, forcing)[mesh.interior])[0]
-        errors.append(fem.l2_error(y, exact, mesh, fem.lumped_weights(mesh)))
+        errors.append(fem.l2_error(y, exact, mesh, mesh.lumped))
     orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
     ok = all(1.8 <= o <= 2.2 for o in orders)
     return CheckReport(name="fem_verify", passed=ok,

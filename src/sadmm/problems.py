@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import os
 import queue
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -50,34 +49,19 @@ def _chunks(xis: np.ndarray) -> list:
 
 @contextmanager
 def _lanes(n_items: int):
-    """A thread pool of one lane per CPU (_lane_count) but no more lanes than
-    items, joined when the block ends, or None for one lane."""
+    """The map of one pass over n_items items: the builtin map for one lane,
+    else the map of a thread pool of one lane per CPU (_lane_count) but no
+    more lanes than items, joined when the block ends. The pool's map
+    submits every item at once and yields the results in item order while
+    the caller waits; on a lane's exception it cancels the items that no
+    lane started, and the pool's shutdown waits for the running ones, so no
+    work of a failed pass outlives the block."""
     lanes = min(_lane_count(), n_items)
     if lanes <= 1:
-        yield None
+        yield map
         return
     with ThreadPoolExecutor(lanes) as pool:
-        yield pool
-
-
-def _in_order(work, items: list, pool: ThreadPoolExecutor | None):
-    """work(item) for each item, in item order, on the threads of pool while
-    the caller waits for each result in turn, or on the calling thread when
-    pool is None. A lane's exception is raised here, after the pass has
-    cancelled its items that no lane started and waited for the ones that
-    are running, so no work of the pass outlives it; the pool is left
-    open."""
-    if pool is None:
-        yield from map(work, items)
-        return
-    pending = deque(pool.submit(work, item) for item in items)
-    try:
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
-        wait(pending)
+        yield pool.map
 
 
 def _row_mean(stacks, n: int) -> np.ndarray:
@@ -124,7 +108,7 @@ class EllipticControlProblem:
         self.beta = beta
         self.u_min = u_min
         self.u_max = u_max
-        self.state_weights = fem.lumped_weights(mesh)
+        self.state_weights = mesh.lumped
         self.weights = self.state_weights[mesh.interior]
         self.y_d = fem.checkerboard_target(mesh)
         self.y_d_interior = self.y_d[mesh.interior]
@@ -304,12 +288,11 @@ class FrozenEvalSet:
     to _COLUMNS iterates at a time. So a caller that scores every iterate of
     an experiment in one objective call factors each sample once.
 
-    Every pass over the samples (_in_order) runs one lane per CPU the
-    process may use, on pool threads while the caller waits (a streamed
-    pass opens a pool of its own, a held block one for all its passes),
-    with BLAS at one thread per call. The results are added in sample
-    order, so every value is the same, bit for bit, whatever the number of
-    lanes.
+    Every pass over the samples runs one lane per CPU the process may use,
+    on pool threads while the caller waits (a streamed pass opens a pool of
+    its own, a held block one for all its passes), with BLAS at one thread
+    per call. The results are added in sample order, so every value is the
+    same, bit for bit, whatever the number of lanes.
     """
 
     def __init__(self, problem: EllipticControlProblem, samples: np.ndarray):
@@ -324,7 +307,7 @@ class FrozenEvalSet:
         # No per-sample operators are kept; perfbench/child.py reads _ops.
         self._ops = None
         mesh = problem.mesh
-        rb = fem._geometry(mesh).red_black
+        rb = mesh.red_black
         # (nodes, target, weights) of the red and of the black nodes
         self._colours = [(idx, problem.y_d_interior[idx], problem.weights[idx])
                          for idx in (rb.red, rb.black)]
@@ -401,9 +384,8 @@ class FrozenEvalSet:
             with prob.factored(chunk) as factors:
                 return work(factors)
 
-        with _lanes(len(chunks)) as pool:
-            return _row_mean(_in_order(borrowed, chunks, pool),
-                             len(self.samples))
+        with _lanes(len(chunks)) as lanes:
+            return _row_mean(lanes(borrowed, chunks), len(self.samples))
 
     @contextmanager
     def _held(self):
@@ -411,11 +393,9 @@ class FrozenEvalSet:
         the block: every chunk is factored once into storage of its own, and
         every pass runs on one pool."""
         mesh, chunks = self.problem.mesh, _chunks(self.samples)
-        with _lanes(len(chunks)) as pool:
-            factored = list(_in_order(lambda chunk: fem.factor(mesh, chunk),
-                                      chunks, pool))
-            yield lambda work: _row_mean(_in_order(work, factored, pool),
-                                         len(self.samples))
+        with _lanes(len(chunks)) as lanes:
+            factored = list(lanes(lambda chunk: fem.factor(mesh, chunk), chunks))
+            yield lambda work: _row_mean(lanes(work, factored), len(self.samples))
 
     def smooth_lipschitz(self) -> float:
         """Lipschitz constant of smooth_grad in the W-norm (see _lipschitz);

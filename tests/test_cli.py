@@ -54,10 +54,28 @@ class TestExitCodes:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
-    def test_invalid_json_is_config_error(self, tmp_path):
+    def test_invalid_json_is_config_error(self, tmp_path, capsys):
+        # not JSON, or JSON that is not an object
         path = tmp_path / "bad.json"
-        path.write_text("{oops")
-        assert cli.main(["run", "--config", str(path)]) == 2
+        for text, message in (("{oops", "invalid JSON"),
+                              *((t, "a config is a JSON object")
+                                for t in ("5", "null", '"admm"', "[1, 2]"))):
+            path.write_text(text)
+            assert cli.main(["run", "--config", str(path)]) == 2
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "rate"])
+    def test_out_that_cannot_be_a_directory_is_config_error(
+            self, tmp_path, capsys, command):
+        # an existing file, and a path under it; rate makes its --out
+        # before it runs, as run and compare do
+        cfg = write_cfg(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for out in (taken, taken / "sub"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                             *(["--k-min", "1"] if command == "rate" else [])]) == 2
+            assert f"output directory {out}:" in capsys.readouterr().err
 
     def test_unknown_key_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"

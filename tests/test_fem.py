@@ -73,7 +73,7 @@ def stencil_sparse(mesh, stencil):
     """One sample's interior stiffness, CSR, from its stencil values: the
     red and black pivots, then the red-black couplings in the ordering's
     CSR layout, each placed at its two mirror positions."""
-    rb = fem._geometry(mesh).red_black
+    rb = mesh.red_black
     n_pivots = sum(rb.shape)
     red, black = rb.red[rb._coupling_row], rb.black[rb._indices]
     pivots = np.concatenate([rb.red, rb.black])
@@ -103,13 +103,13 @@ def assert_same_stiffness(actual, expected, rtol=0.0):
 def pivot(mesh, node):
     """Index in the stencil of an interior node's pivot: red pivots first,
     then black, each in interior order."""
-    rb = fem._geometry(mesh).red_black
+    rb = mesh.red_black
     return int(np.nonzero(np.concatenate([rb.red, rb.black]) == node)[0][0])
 
 
 @pytest.fixture(scope="module")
 def mesh4():
-    return fem.build_mesh(0.25)
+    return fem.StructuredMesh(0.25)
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +141,14 @@ class TestMesh:
     def test_triangles_at_h_one_half(self):
         # nodes numbered row by row from (0, 0); every cell is split along
         # its lower-left to upper-right diagonal
-        np.testing.assert_array_equal(fem.build_mesh(0.5).triangles, [
+        np.testing.assert_array_equal(fem.StructuredMesh(0.5).triangles, [
             [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
             [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]])
 
     @pytest.mark.parametrize("h", [0.3, -0.25, 2.0])
     def test_rejects_bad_h(self, h):
         with pytest.raises(ValueError, match="1/h"):
-            fem.build_mesh(h)
+            fem.StructuredMesh(h)
 
 
 class TestCoefficient:
@@ -204,7 +204,7 @@ class TestAssembly:
         # on a dyadic grid every node coordinate is exact, so the element
         # matrices' weights are exactly 1/2, 1 and -1/2 and the stencil's
         # closed form gives the assembly's bits
-        mesh = fem.build_mesh(2.0 ** -level)
+        mesh = fem.StructuredMesh(2.0 ** -level)
         rng = np.random.default_rng(level)
         for _ in range(2):
             xi = rng.uniform(-1, 1, size=4)
@@ -219,47 +219,47 @@ class TestAssembly:
         # the closed form does not: values within 1e-14, the same pattern.
         # The interior grid is even for n = 3 and 5 and odd for n = 10, and
         # the direct solve is right on both
-        mesh = fem.build_mesh(1.0 / n)
+        mesh = fem.StructuredMesh(1.0 / n)
         rng = np.random.default_rng(20 + n)
         xi = rng.uniform(-1, 1, size=4)
         expected = reference_stiffness(mesh, xi)
         assert_same_stiffness(stencil_sparse(mesh, fem.assemble(mesh, xi)[0]),
                               expected.copy(), rtol=1e-14)
         M = reference_mass(mesh)
-        np.testing.assert_allclose(fem.lumped_weights(mesh),
+        np.testing.assert_allclose(mesh.lumped,
                                    np.asarray(M.sum(axis=1)).ravel(),
                                    rtol=1e-14, atol=0.0)
         u = rng.standard_normal(mesh.interior.size)
-        loads = fem.lumped_weights(mesh)[mesh.interior] * u
+        loads = mesh.lumped[mesh.interior] * u
         want = spsolve(expected.tocsc(), loads)
         y = fem.solve_state(fem.factor(mesh, xi), u)[0]
         assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_mass_symmetric_and_lumped_sums_to_area(self):
         for level in (2, 3, 4, 5, 6):
-            mesh = fem.build_mesh(2.0 ** -level)
+            mesh = fem.StructuredMesh(2.0 ** -level)
             M = reference_mass(mesh)
             assert abs(M - M.T).max() == 0.0
-            lumped = fem.lumped_weights(mesh)
+            lumped = mesh.lumped
             np.testing.assert_array_equal(lumped,
                                           np.asarray(M.sum(axis=1)).ravel())
             assert lumped.sum() == pytest.approx(1.0, rel=1e-14)
 
     def test_interior_lumped_weight_is_h_squared(self):
         for level in (2, 3, 4, 5, 6):
-            mesh = fem.build_mesh(2.0 ** -level)
+            mesh = fem.StructuredMesh(2.0 ** -level)
             np.testing.assert_array_equal(
-                fem.lumped_weights(mesh)[mesh.interior], mesh.h * mesh.h)
+                mesh.lumped[mesh.interior], mesh.h * mesh.h)
 
     def test_mass_independent_of_sample(self, mesh4):
         # the weights are the mesh's, left as they were by every factor and
         # solve of any sample
-        before = fem.lumped_weights(mesh4).copy()
+        before = mesh4.lumped.copy()
         for xi in (np.zeros(4), np.array([0.9, -0.9, 0.5, -0.5])):
             factor = fem.factor(mesh4, xi)
             fem.solve_adjoint(factor, fem.solve_state(factor, np.ones(9)),
                               np.zeros(9))
-        np.testing.assert_array_equal(fem.lumped_weights(mesh4), before)
+        np.testing.assert_array_equal(mesh4.lumped, before)
 
 
 class TestSolves:
@@ -289,7 +289,7 @@ class TestSolves:
     @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
     def test_direct_solve_matches_spsolve(self, level):
         # level 1 has a single (red) interior node and an empty Schur system
-        mesh = fem.build_mesh(2.0 ** -level)
+        mesh = fem.StructuredMesh(2.0 ** -level)
         rng = np.random.default_rng(10 + level)
         xi = rng.uniform(-1, 1, size=4)
         factor = fem.factor(mesh, xi)
@@ -300,7 +300,7 @@ class TestSolves:
         assert factor.schur.shape == (1, min(side + 1, side * side),
                                       side * side // 2)
         u = rng.standard_normal(mesh.interior.size)
-        loads = fem.lumped_weights(mesh)[mesh.interior] * u
+        loads = mesh.lumped[mesh.interior] * u
         expected = spsolve(reference_stiffness(mesh, xi).tocsc(), loads)
         y = fem.solve_state(factor, u)[0]
         assert (np.linalg.norm(y - expected)
@@ -313,7 +313,7 @@ class TestSolves:
     def test_multi_rhs_band_solve_matches_column_solves(self):
         # 7 right-hand sides per sample on a stack of one and of 5, against
         # each column alone and each sample's stack of one
-        mesh = fem.build_mesh(2.0 ** -5)
+        mesh = fem.StructuredMesh(2.0 ** -5)
         rng = np.random.default_rng(15)
         for m in (1, 5):
             factor = fem.factor(mesh, rng.uniform(-1, 1, size=(m, 4)))
@@ -359,7 +359,7 @@ class TestSolves:
         # the Schur complements of h = 2^-5 before dpbtrf, factored and
         # solved with 1 and 40 right-hand sides: the same bits as scipy's
         # f2py wrappers of the same routines
-        mesh = fem.build_mesh(2.0 ** -5)
+        mesh = fem.StructuredMesh(2.0 ** -5)
         rng = np.random.default_rng(18)
         with monkeypatch.context() as m:
             m.setattr(fem, "dpbtrf", lambda bands: None)
@@ -387,8 +387,8 @@ class TestSolves:
         # E D_r^-1 E^T summed one term at a time from 0.0: the black pivot,
         # then minus E[b, r] * (E[b', r] / D_r[r]) for each red r in order.
         # Bit for bit, so a change of summation order shows
-        mesh = fem.build_mesh(2.0 ** -level)
-        rb = fem._geometry(mesh).red_black
+        mesh = fem.StructuredMesh(2.0 ** -level)
+        rb = mesh.red_black
         stencil = fem.assemble(mesh, np.random.default_rng(level).uniform(
             -1, 1, size=(m, 4)))
         with monkeypatch.context() as patch:
@@ -427,7 +427,7 @@ class TestSolves:
     def test_threads_solving_at_once_match_serial_bits(self):
         # the stacks share one size, hence one coupling pattern per thread;
         # a thread reading another's couplings would change its bits
-        mesh = fem.build_mesh(2.0 ** -3)
+        mesh = fem.StructuredMesh(2.0 ** -3)
         rng = np.random.default_rng(19)
         cases = []
         for _ in range(4):
@@ -455,38 +455,11 @@ class TestSolves:
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
-    def test_mesh_coupling_one_colour_is_rejected(self, mesh4):
-        # moving the centre node off the grid takes the right angle from its
-        # triangles, so it would couple to its diagonal neighbours of its
-        # colour; the stencil is the grid's, so any other mesh is refused
-        nodes = mesh4.nodes.copy()
-        nodes[12] += [0.05, 0.02]
-        bent = fem.StructuredMesh(h=mesh4.h, nodes=nodes,
-                                  triangles=mesh4.triangles,
-                                  boundary_mask=mesh4.boundary_mask,
-                                  interior=mesh4.interior)
-        with pytest.raises(ValueError, match="not the uniform grid"):
-            fem.assemble(bent, np.zeros(4))
-
-    def test_off_grid_triangles_or_h_are_rejected(self, mesh4):
-        # the grid's nodes with every cell split along its other diagonal,
-        # and the grid of h = 1/4 labelled h = 1/8
-        t = mesh4.triangles  # (v00, v10, v11) and (v00, v11, v01) per cell
-        v00, v10, v11, v01 = t[0::2, 0], t[0::2, 1], t[0::2, 2], t[1::2, 2]
-        flipped = np.column_stack([v00, v10, v01, v10, v11, v01]).reshape(-1, 3)
-        for h, triangles in ((mesh4.h, flipped), (0.125, t)):
-            mesh = fem.StructuredMesh(h=h, nodes=mesh4.nodes,
-                                      triangles=triangles,
-                                      boundary_mask=mesh4.boundary_mask,
-                                      interior=mesh4.interior)
-            with pytest.raises(ValueError, match="not the uniform grid"):
-                fem.factor(mesh, np.zeros(4))
-
     def test_adjoint_identity(self, mesh4):
         # <u, p>_W == <y(u2), y - y_d>_W since p = K^{-1} W (y - y_d)
         rng = np.random.default_rng(6)
         factor = fem.factor(mesh4, rng.uniform(-1, 1, size=4))
-        w = fem.lumped_weights(mesh4)[mesh4.interior]
+        w = mesh4.lumped[mesh4.interior]
         u = rng.standard_normal(9)
         y = fem.solve_state(factor, rng.standard_normal(9))
         y_d = rng.standard_normal(9)
@@ -528,7 +501,7 @@ import hashlib, sys
 import numpy as np
 import sadmm
 from sadmm import fem
-mesh = fem.build_mesh(2.0 ** -4)
+mesh = fem.StructuredMesh(2.0 ** -4)
 factor = fem.factor(mesh, np.array([0.3, -0.5, 0.7, -0.1]))
 x = fem.band_solve(factor, np.ones((1, mesh.interior.size, 2)))
 assert sys.modules["scipy.linalg.cython_lapack"] is fem.cython_lapack
@@ -625,7 +598,7 @@ class TestHelpers:
     def test_l2_error_of_exact_interpolant_is_zero(self, mesh4):
         fn = lambda x1, x2: np.sin(x1) * x2
         a = fem.interpolate(mesh4, fn)
-        assert fem.l2_error(a, fn, mesh4, fem.lumped_weights(mesh4)) == 0.0
+        assert fem.l2_error(a, fn, mesh4, mesh4.lumped) == 0.0
 
     def test_checkerboard_target(self, mesh4):
         t = fem.checkerboard_target(mesh4)

@@ -65,7 +65,7 @@ def make_quadratic(dim=10, alpha=0.5, beta=0.2, sigma=0.3, seed=0):
 
 @pytest.fixture(scope="module")
 def elliptic():
-    return EllipticControlProblem(fem.build_mesh(2.0 ** -3), alpha=1e-3,
+    return EllipticControlProblem(fem.StructuredMesh(2.0 ** -3), alpha=1e-3,
                                   beta=1e-3)
 
 
@@ -183,7 +183,7 @@ class TestEllipticProblem:
             elliptic.weights, elliptic.state_weights[elliptic.mesh.interior])
 
     def test_validation(self):
-        mesh = fem.build_mesh(0.25)
+        mesh = fem.StructuredMesh(0.25)
         with pytest.raises(ValueError, match="nonnegative"):
             EllipticControlProblem(mesh, -1.0, 0.0)
         with pytest.raises(ValueError, match="u_min"):
@@ -246,7 +246,7 @@ class TestEllipticProblem:
         # state and adjoint by spsolve on an independent COO assembly; the
         # stacks of one, of a whole chunk and of 13 reuse the oracle's
         # factor storage one after another
-        prob = EllipticControlProblem(fem.build_mesh(2.0 ** -level),
+        prob = EllipticControlProblem(fem.StructuredMesh(2.0 ** -level),
                                       alpha=1e-3, beta=1e-3)
         mesh, w = prob.mesh, prob.weights
         rng = np.random.default_rng(20 + level)
@@ -348,7 +348,7 @@ class TestEllipticProblem:
         mesh = elliptic.mesh
         stencil = fem.assemble(
             mesh, elliptic.draw_samples(np.random.default_rng(4), 3))
-        n_red, _ = fem._geometry(mesh).red_black.shape
+        n_red, _ = mesh.red_black.shape
         stencil[1, 0 if colour == "red" else n_red] = -1.0
         with pytest.raises(LinAlgError, match="not positive definite"):
             fem.red_black_cholesky(stencil, mesh)
@@ -611,9 +611,10 @@ class TestEvalLanes:
             assert len(pools) == before + 1
         assert all(pool._max_workers == 2 for pool in pools)
 
-    def test_failed_pass_stops_its_work_and_leaves_the_pool_open(self):
-        # item 0 fails while item 1 runs: the pass waits for item 1, starts
-        # no item after it raises, and leaves the given pool working
+    def test_failed_pass_stops_its_work(self, monkeypatch):
+        # item 0 fails while item 1 runs: the block raises item 0's error,
+        # cancels the items no lane started and exits only once every
+        # started item has finished
         started, finished, second = [], [], threading.Event()
 
         def work(item):
@@ -628,13 +629,12 @@ class TestEvalLanes:
             finally:
                 finished.append(item)
 
-        with problems.ThreadPoolExecutor(2) as pool:
-            with pytest.raises(ValueError, match="item 0 failed"):
-                list(problems._in_order(work, list(range(8)), pool))
-            assert 1 in finished and sorted(finished) == sorted(started)
-            time.sleep(0.3)
-            assert len(started) == len(finished) < 8
-            assert pool.submit(abs, -3).result() == 3
+        monkeypatch.setattr(problems, "_lane_count", lambda: 2)
+        with pytest.raises(ValueError, match="item 0 failed"):
+            with problems._lanes(8) as lanes:
+                list(lanes(work, range(8)))
+        assert 1 in finished and sorted(finished) == sorted(started)
+        assert len(started) < 8
 
 
 class TestReferenceOptimum:
