@@ -17,7 +17,13 @@ one sample being a stack of one: a stack's coefficient fields, stencil
 values, red pivots and Schur bands are formed by array operations over the
 whole stack, and only LAPACK's dpbtrf and dpbtrs run once per sample. They
 are called through ctypes, which releases the GIL, so threads factor and
-solve different stacks at once.
+solve different stacks at once. dpbtrf factors each Schur complement in
+lower band storage, in a scratch band of one sample per thread, and the
+factor is copied to upper band storage for dpbtrs: with the half-bandwidth
+below 32, LAPACK's unblocked upper branch made two threads factoring at
+once slower than one, while the lower branch runs them at once and gives
+the same factor bit for bit, and dpbtrs solves faster from upper storage
+(BENCH_lower_band.json).
 From scipy, fem loads scipy.sparse and the one extension module that holds
 LAPACK's routines, scipy.linalg.cython_lapack, by itself: the scipy.linalg
 package, whose import would run all of scipy/linalg/__init__.py for two
@@ -223,10 +229,10 @@ class RedBlackOrdering:
             [[0], np.cumsum(np.bincount(rows, minlength=n_red))]).astype(np.int32)
         self.shape = (n_red, n_black)
         # each thread's block-diagonal coupling patterns by stack size (see
-        # _coupling)
+        # _coupling) and its scratch band (see _schur_scratch)
         self._local = threading.local()
 
-        # S = D_b - E D_r^-1 E^T in upper band storage. Its terms are the
+        # S = D_b - E D_r^-1 E^T in lower band storage. Its terms are the
         # black pivots and, for each red node, the product of its couplings
         # to two black neighbours b <= b'.
         # slot[i, a]: position of red node i's a-th coupling, or -1
@@ -242,10 +248,10 @@ class RedBlackOrdering:
         bw_s = int((hi - lo).max(initial=0))
         self.schur_shape = (bw_s + 1, n_black)
         self._schur_pairs = (left, right)
-        # column-major position of each term, so that dpbtrf takes S without
-        # a copy
-        index = (bw_s + 1) * np.concatenate([np.arange(n_black), hi]) \
-            + np.concatenate([np.full(n_black, bw_s), bw_s + lo - hi])
+        # column-major position of each term, entry (b', b) of S at row b' - b
+        # of column b, so that dpbtrf takes S without a copy
+        index = (bw_s + 1) * np.concatenate([np.arange(n_black), lo]) \
+            + np.concatenate([np.zeros(n_black, dtype=np.int64), hi - lo])
         # each entry of S sums its terms in term order, from 0.0: one row per
         # entry of S's pattern and one column per term, +1 for a black pivot
         # and -1 for a product
@@ -283,6 +289,30 @@ class RedBlackOrdering:
         pattern[0].data = pattern[1].data = scaled.reshape(-1)
         return pattern
 
+    def _schur_scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """This thread's scratch band of one Schur complement, built once per
+        thread: its lower band storage flat, the same as the stack of one
+        (1, kd + 1, n_black) that dpbtrf factors, and a read-only view of it
+        in upper band storage, (kd + 1, n_black).
+
+        kd^2 zeros precede the band. Upper entry (r, c) is lower entry (c,
+        c + r - kd), at flat position r kd + c (kd + 1) from the scratch's
+        start, so the view is one strided array; the corner above the band,
+        r + c < kd, falls in the leading zeros.
+        """
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            (rows, n_black), kd = self.schur_shape, self.schur_shape[0] - 1
+            memory = np.zeros(kd * kd + rows * n_black)
+            flat = memory[kd * kd:]
+            upper = np.lib.stride_tricks.as_strided(
+                memory, shape=(rows, n_black),
+                strides=(kd * memory.itemsize, rows * memory.itemsize),
+                writeable=False)
+            scratch = self._local.scratch = (
+                flat, flat.reshape(1, n_black, rows).transpose(0, 2, 1), upper)
+        return scratch
+
 
 @dataclass(eq=False)
 class RedBlackFactor:
@@ -301,7 +331,7 @@ class RedBlackFactor:
     mesh: StructuredMesh
     red_diag: np.ndarray  # D_r, (m, n_red)
     scaled: np.ndarray  # D_r^-1 E^T in the ordering's CSR layout, (m, nnz)
-    schur: np.ndarray  # dpbtrf factors of S, upper band storage, (m, rows, n_black)
+    schur: np.ndarray  # Cholesky factors U of S, upper band storage, (m, rows, n_black)
 
     @classmethod
     def empty(cls, mesh: StructuredMesh, m: int) -> "RedBlackFactor":
@@ -391,9 +421,12 @@ def _fortran_blocks(a: np.ndarray, name: str) -> tuple[int, int]:
 
 def dpbtrf(bands: np.ndarray) -> None:
     """Factor in place, by LAPACK dpbtrf, every band of a stack of SPD
-    matrices in upper band storage, bands (m, kd + 1, n), each sample a
-    Fortran-ordered block. Raises LinAlgError for the first sample that is
-    not positive definite."""
+    matrices in lower band storage, bands (m, kd + 1, n), each sample a
+    Fortran-ordered block, into L with A = L L^T. Raises LinAlgError for the
+    first sample that is not positive definite. Lower storage only: with
+    kd < 32 LAPACK takes its unblocked dpbtf2, whose upper branch updates
+    the band at a stride of kd and ran slower on two threads than on one;
+    the lower branch's stride is 1."""
     base, step = _fortran_blocks(bands, "bands")
     m, rows, n = bands.shape
     info = ctypes.c_int()
@@ -402,14 +435,16 @@ def dpbtrf(bands: np.ndarray) -> None:
                            ctypes.byref(ctypes.c_int(rows)), ctypes.byref(info))
     # LAPACK rejects an empty system
     for i in range(m if n else 0):
-        _lapack_dpbtrf(b"U", n_, kd, base + i * step, ldab, info_)
+        _lapack_dpbtrf(b"L", n_, kd, base + i * step, ldab, info_)
         _check_info(info.value, "dpbtrf", i)
 
 
 def dpbtrs(bands: np.ndarray, b: np.ndarray) -> None:
     """Solve in place, by LAPACK dpbtrs, each sample's system with k
-    right-hand sides, b (m, n, k), given dpbtrf's factors of a stack, bands
-    (m, kd + 1, n); both hold each sample as a Fortran-ordered block."""
+    right-hand sides, b (m, n, k), given the Cholesky factors U = L^T of a
+    stack in upper band storage, bands (m, kd + 1, n), where
+    red_black_cholesky copies them; both hold each sample as a
+    Fortran-ordered block."""
     base, step = _fortran_blocks(bands, "bands")
     b_base, b_step = _fortran_blocks(b, "b")
     m, rows, n = bands.shape
@@ -440,14 +475,16 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
                        out: RedBlackFactor | None = None) -> RedBlackFactor:
     """Factor the interior stiffness of mesh for a stack of samples given
     their stencil values (see RedBlackOrdering), (m, n_stencil): eliminate
-    the red nodes and factor each black Schur complement with LAPACK dpbtrf.
+    the red nodes and factor each black Schur complement with LAPACK dpbtrf,
+    in lower band storage in this thread's scratch band, then copy the
+    factor to out's upper band storage.
 
-    Every step but dpbtrf runs once over the whole stack. The factors go
-    into out when it is given (RedBlackFactor.empty storage of m samples,
-    overwritten), else into new storage. Raises LinAlgError when a matrix is
-    not positive definite, that is when a red pivot is not positive or
-    dpbtrf rejects a Schur complement, rather than returning a partial
-    factor.
+    Every step but dpbtrf and the copy runs once over the whole stack. The
+    factors go into out when it is given (RedBlackFactor.empty storage of m
+    samples, overwritten), else into new storage. Raises LinAlgError when a
+    matrix is not positive definite, that is when a red pivot is not
+    positive or dpbtrf rejects a Schur complement (the error names its
+    sample), rather than returning a partial factor.
     """
     rb = mesh.red_black
     stencil = np.asarray(stencil, dtype=float)
@@ -458,8 +495,10 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     (n_red, n_black), n_pivots = rb.shape, sum(rb.shape)
     red_diag = columns[:n_red]
     if not np.all(red_diag > 0.0):
-        raise LinAlgError("red-black elimination failed (a red pivot is not "
-                          "positive): the matrix is not positive definite")
+        sample = np.nonzero(~np.all(red_diag > 0.0, axis=0))[0][0]
+        raise LinAlgError(f"red-black elimination failed for sample {sample} "
+                          "of the stack (a red pivot is not positive): the "
+                          "matrix is not positive definite")
     factor = RedBlackFactor.empty(mesh, m) if out is None else out
     if len(factor) != m:
         raise ValueError(f"out holds {len(factor)} factors, not {m}")
@@ -477,11 +516,20 @@ def red_black_cholesky(stencil: np.ndarray, mesh: StructuredMesh,
     products = terms[n_black:]
     np.take(coupling, left, axis=0, out=products, mode="clip")
     products *= np.take(scaled, right, axis=0)
-    # dpbtrf fills in outside S's pattern, so storage is cleared first
-    bands = factor.schur.transpose(0, 2, 1).reshape(m, -1)
-    bands[...] = 0.0
-    bands[:, rb._schur_entries] = (rb._schur_sum @ terms).T
-    dpbtrf(factor.schur)
+    # each sample's S goes into this thread's scratch band, cleared first
+    # because dpbtrf fills in outside S's pattern, is factored in lower
+    # storage and copied out to upper storage (see the module docstring)
+    flat, band, upper = rb._schur_scratch()
+    for i, entries in enumerate((rb._schur_sum @ terms).T):
+        flat[...] = 0.0
+        flat[rb._schur_entries] = entries
+        try:
+            dpbtrf(band)
+        except LinAlgError as error:
+            raise LinAlgError(f"banded Cholesky failed for sample {i} of the "
+                              "stack: the matrix is not positive definite"
+                              ) from error
+        np.copyto(factor.schur[i], upper)
     return factor
 
 

@@ -153,10 +153,13 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: "
+                              f"{exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 

@@ -35,8 +35,8 @@ _NOISE_BLOCK = 8192
 
 
 def _lane_count() -> int:
-    """The CPUs this process may run on: an eval-set pass runs one lane on
-    each."""
+    """The CPUs this process may run on: an eval-set pass and estimate_L's
+    draws run one lane on each."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -173,9 +173,12 @@ class EllipticControlProblem:
 
     def sample_grads(self, u: np.ndarray, rng: np.random.Generator, n: int):
         """The per-sample gradients at u of n fresh samples, in draw order,
-        computed _CHUNK samples at a time on the calling thread."""
-        for xis in _chunks(self.draw_samples(rng, n)):
-            yield from self.grad(u, xis)
+        computed _CHUNK samples at a time, one chunk per item of one pass
+        on the lanes (_lanes): the samples are drawn before any gradient."""
+        chunks = _chunks(self.draw_samples(rng, n))
+        with _lanes(len(chunks)) as lanes:
+            for g in lanes(lambda xis: self.grad(u, xis), chunks):
+                yield from g
 
     def smooth_value(self, u: np.ndarray, xi: np.ndarray) -> float:
         # the tracking term spans all nodes; the state is 0 on the boundary
@@ -185,7 +188,9 @@ class EllipticControlProblem:
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
     def mean_grad(self, u: np.ndarray, xis: np.ndarray) -> np.ndarray:
-        """The mean of grad at u over given samples xis (m, 4), _CHUNK at a time."""
+        """The mean of grad at u over given samples xis (m, 4), _CHUNK at a
+        time on the calling thread: a batch is too short for lanes to pay
+        (BENCH_lower_band.json)."""
         return _row_mean((self.grad(u, c) for c in _chunks(xis)), len(xis))
 
     def averaged_grad(self, u: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:

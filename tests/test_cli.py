@@ -64,6 +64,13 @@ class TestExitCodes:
             assert cli.main(["run", "--config", str(path)]) == 2
             assert message in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark before "{": not UTF-8 text, so not JSON
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "compare", "rate"])
     def test_out_that_cannot_be_a_directory_is_config_error(
             self, tmp_path, capsys, command):

@@ -107,6 +107,45 @@ def pivot(mesh, node):
     return int(np.nonzero(np.concatenate([rb.red, rb.black]) == node)[0][0])
 
 
+def schur_bands(mesh, stencil, lower):
+    """Each sample's S = D_b - E D_r^-1 E^T in lower or upper band storage,
+    (m, kd + 1, n_black), every entry summed one term at a time from 0.0:
+    the black pivot, then minus E[b, r] * (E[b', r] / D_r[r]) for each red
+    r in order; zero outside the band."""
+    rb = mesh.red_black
+    rows, n_black = rb.schur_shape
+    bw = rows - 1
+    bands = np.zeros((len(stencil), rows, n_black))
+    for band, values in zip(bands, stencil):
+        A = stencil_dense(mesh, values)
+        K_rb = A[np.ix_(rb.black, rb.red)]
+        d_r = A[rb.red, rb.red]
+        for q in range(n_black):
+            for p in range(max(0, q - bw), q + 1):
+                total = 0.0
+                if p == q:
+                    total += A[rb.black[p], rb.black[p]]
+                for r in np.nonzero(K_rb[p] * K_rb[q])[0]:
+                    total -= K_rb[p, r] * (K_rb[q, r] / d_r[r])
+                if lower:
+                    band[q - p, p] = total
+                else:
+                    band[bw + p - q, q] = total
+    return bands
+
+
+def receive_schur_bands(monkeypatch, mesh, stencil):
+    """The bands that fem.dpbtrf receives while red_black_cholesky factors
+    stencil, one sample at a time, stacked (m, kd + 1, n_black); dpbtrf
+    itself does not run."""
+    received = []
+    with monkeypatch.context() as patch:
+        patch.setattr(fem, "dpbtrf", lambda bands: received.append(bands.copy()))
+        fem.red_black_cholesky(stencil, mesh)
+    assert [len(bands) for bands in received] == [1] * len(stencil)
+    return np.concatenate(received)
+
+
 @pytest.fixture(scope="module")
 def mesh4():
     return fem.StructuredMesh(0.25)
@@ -356,25 +395,28 @@ class TestSolves:
             fem.red_black_cholesky(stencil, mesh4)
 
     def test_lapack_binding_matches_scipy(self, monkeypatch):
-        # the Schur complements of h = 2^-5 before dpbtrf, factored and
-        # solved with 1 and 40 right-hand sides: the same bits as scipy's
-        # f2py wrappers of the same routines
+        # the Schur complements of h = 2^-5 as dpbtrf receives them, in lower
+        # band storage, factored, and their upper factors solving 1 and 40
+        # right-hand sides: the same bits as scipy's f2py wrappers of the
+        # same routines
         mesh = fem.StructuredMesh(2.0 ** -5)
         rng = np.random.default_rng(18)
-        with monkeypatch.context() as m:
-            m.setattr(fem, "dpbtrf", lambda bands: None)
-            bands = fem.factor(mesh, rng.uniform(-1, 1, size=(3, 4))).schur
-        expected = [reference_lapack.dpbtrf(band, lower=0) for band in bands]
+        xis = rng.uniform(-1, 1, size=(3, 4))
+        received = receive_schur_bands(monkeypatch, mesh, fem.assemble(mesh, xis))
+        bands = np.empty((3,) + received.shape[:0:-1]).transpose(0, 2, 1)
+        bands[...] = received
+        expected = [reference_lapack.dpbtrf(band, lower=1) for band in bands]
         fem.dpbtrf(bands)
         for band, (factor, info) in zip(bands, expected):
             assert info == 0
             np.testing.assert_array_equal(band, factor)
+        upper = fem.factor(mesh, xis).schur
         for k in (1, 40):
-            rhs = rng.standard_normal((3, bands.shape[2], k))
-            x = np.empty((3, k, bands.shape[2])).transpose(0, 2, 1)
+            rhs = rng.standard_normal((3, upper.shape[2], k))
+            x = np.empty((3, k, upper.shape[2])).transpose(0, 2, 1)
             x[...] = rhs
-            fem.dpbtrs(bands, x)
-            for i, band in enumerate(bands):
+            fem.dpbtrs(upper, x)
+            for i, band in enumerate(upper):
                 want, info = reference_lapack.dpbtrs(band, rhs[i], lower=0)
                 assert info == 0
                 np.testing.assert_array_equal(x[i], want)
@@ -383,32 +425,73 @@ class TestSolves:
     @pytest.mark.parametrize("m", [1, 6])
     def test_schur_band_sums_each_entry_in_term_order(self, monkeypatch,
                                                       level, m):
-        # the band dpbtrf receives, against each entry of S = D_b -
+        # the lower band dpbtrf receives, against each entry of S = D_b -
         # E D_r^-1 E^T summed one term at a time from 0.0: the black pivot,
         # then minus E[b, r] * (E[b', r] / D_r[r]) for each red r in order.
         # Bit for bit, so a change of summation order shows
         mesh = fem.StructuredMesh(2.0 ** -level)
-        rb = mesh.red_black
         stencil = fem.assemble(mesh, np.random.default_rng(level).uniform(
             -1, 1, size=(m, 4)))
-        with monkeypatch.context() as patch:
-            patch.setattr(fem, "dpbtrf", lambda bands: None)
-            bands = fem.red_black_cholesky(stencil, mesh).schur
-        expected = np.zeros(bands.shape)
-        bw = bands.shape[1] - 1
-        for band, values in zip(expected, stencil):
-            A = stencil_dense(mesh, values)
-            K_rb = A[np.ix_(rb.black, rb.red)]
-            d_r = A[rb.red, rb.red]
-            for q in range(rb.black.size):
-                for p in range(max(0, q - bw), q + 1):
-                    total = 0.0
-                    if p == q:
-                        total += A[rb.black[p], rb.black[p]]
-                    for r in np.nonzero(K_rb[p] * K_rb[q])[0]:
-                        total -= K_rb[p, r] * (K_rb[q, r] / d_r[r])
-                    band[bw + p - q, q] = total
-        assert np.ascontiguousarray(bands).tobytes() == expected.tobytes()
+        received = receive_schur_bands(monkeypatch, mesh, stencil)
+        expected = schur_bands(mesh, stencil, lower=True)
+        assert received.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("level", [3, 4, 5])
+    def test_factor_is_the_upper_factor_of_s(self, level):
+        # factored in lower storage and copied out, each Schur factor is
+        # bit for bit the one dpbtrf gives S in upper storage (kd < 32, so
+        # LAPACK's unblocked dpbtf2), zero corner included
+        mesh = fem.StructuredMesh(2.0 ** -level)
+        stencil = fem.assemble(mesh, np.random.default_rng(30 + level).uniform(
+            -1, 1, size=(2, 4)))
+        schur = fem.red_black_cholesky(stencil, mesh).schur
+        for got, band in zip(schur, schur_bands(mesh, stencil, lower=False)):
+            want, info = reference_lapack.dpbtrf(band, lower=0)
+            assert info == 0
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_threads_factoring_at_once_match_serial_bits(self):
+        # each thread factors in a scratch band of its own; a thread that
+        # scattered into, factored or copied out of another's would change
+        # its bits
+        mesh = fem.StructuredMesh(2.0 ** -4)
+        rng = np.random.default_rng(21)
+        cases = []
+        for m in (1, 2, 3, 6):
+            stencil = fem.assemble(mesh, rng.uniform(-1, 1, size=(m, 4)))
+            cases.append((stencil, fem.red_black_cholesky(stencil, mesh).schur))
+        wrong = []
+
+        def factor_many(stencil, expected):
+            out = fem.RedBlackFactor.empty(mesh, len(stencil))
+            for _ in range(200):
+                fem.red_black_cholesky(stencil, mesh, out)
+                if not np.array_equal(out.schur, expected):
+                    wrong.append(1)
+
+        threads = [threading.Thread(target=factor_many, args=case)
+                   for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("colour", ["red", "black"])
+    def test_indefinite_sample_is_named(self, mesh4, colour):
+        # sample 2 of 4 gets a negative red pivot, checked before S is
+        # formed, or black pivot, which dpbtrf rejects
+        stencil = fem.assemble(mesh4, np.random.default_rng(22).uniform(
+            -1, 1, size=(4, 4)))
+        stencil[2, pivot(mesh4, 4 if colour == "red" else 1)] = -1.0
+        with pytest.raises(LinAlgError, match="sample 2 of the stack"):
+            fem.red_black_cholesky(stencil, mesh4)
 
     def test_lapack_binding_checks_layout(self, factor4):
         # LAPACK reads raw memory: a C-ordered block, a read-only array or

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -555,39 +556,55 @@ class TestObjectives:
 
 
 class TestEvalLanes:
-    """Every pass over the eval samples runs one lane per CPU; no value
+    """Every pass over the eval samples and estimate_L's draws run one lane
+    per CPU, and an oracle batch runs on the calling thread; no value
     depends on the lane count, and no helper thread outlives its call."""
 
-    def test_values_do_not_depend_on_lane_count(self, elliptic, monkeypatch):
+    @staticmethod
+    def lane_calls(elliptic):
+        """name -> call of every pass over three chunks or more (estimate_L's
+        20 draws make four): each runs on the lanes but mean_grad, an oracle
+        batch, which runs on the calling thread."""
         ev = eval_set(elliptic, 2 * problems._CHUNK + 5)  # 3 chunks
         us = np.random.default_rng(20).uniform(-2.0, 2.0, size=(5, elliptic.dim))
-        calls = (lambda: ev.objective(us), lambda: ev.smooth_grad(us[0]),
-                 lambda: ev.smooth_lipschitz(), lambda: ev.optimum().u)
+        draws = 2 * problems._CHUNK + 1  # 13 samples, 3 chunks
+        return {
+            "objective": lambda: ev.objective(us),
+            "smooth_grad": lambda: ev.smooth_grad(us[0]),
+            "smooth_lipschitz": ev.smooth_lipschitz,
+            "optimum": lambda: ev.optimum().u,
+            "estimate_L": lambda: estimate_L(
+                elliptic, us[1], np.random.default_rng(23), 20),
+            "sample_grads": lambda: np.array(list(elliptic.sample_grads(
+                us[2], np.random.default_rng(24), draws))),
+            "mean_grad": lambda: elliptic.mean_grad(us[3], ev.samples[:draws]),
+        }
+
+    def test_values_do_not_depend_on_lane_count(self, elliptic, monkeypatch):
+        calls = self.lane_calls(elliptic)
         by_lanes = []
         for lanes in (1, 2, 3):
             monkeypatch.setattr(problems, "_lane_count", lambda: lanes)
             threads = threading.active_count()
-            values = []
-            for call in calls:
-                values.append(call())
+            values = {}
+            for name, call in calls.items():
+                values[name] = np.asarray(call()).tobytes()
                 assert threading.active_count() == threads
             by_lanes.append(values)
-        for values in by_lanes[1:]:
-            for got, want in zip(values, by_lanes[0]):
-                np.testing.assert_array_equal(got, want)
+        assert by_lanes[1] == by_lanes[0]
+        assert by_lanes[2] == by_lanes[0]
 
     @pytest.mark.parametrize("call", ["objective", "smooth_grad",
-                                      "smooth_lipschitz", "optimum"])
+                                      "smooth_lipschitz", "optimum",
+                                      "estimate_L", "sample_grads"])
     def test_helper_lane_error_reaches_caller(self, elliptic, monkeypatch,
                                               call):
-        ev = eval_set(elliptic, 2 * problems._CHUNK + 5)
+        call = self.lane_calls(elliptic)[call]
         monkeypatch.setattr(problems, "_lane_count", lambda: 2)
         threads = threading.active_count()
         fail_in_helper_lanes(monkeypatch)
-        args = (np.ones(elliptic.dim),) if call in ("objective", "smooth_grad") \
-            else ()
         with pytest.raises(LinAlgError, match="a helper lane failed"):
-            getattr(ev, call)(*args)
+            call()
         assert threading.active_count() == threads
 
     def test_one_pool_per_optimum(self, elliptic, monkeypatch):
@@ -610,6 +627,34 @@ class TestEvalLanes:
             call()
             assert len(pools) == before + 1
         assert all(pool._max_workers == 2 for pool in pools)
+
+    def test_oracle_batch_runs_on_the_calling_thread(self, elliptic,
+                                                      monkeypatch):
+        # a batch of three chunks opens no pool: pool threads made each
+        # batch of criterion 8's runs slower, not faster
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an oracle batch opened a pool")
+
+        monkeypatch.setattr(problems, "_lane_count", lambda: 2)
+        monkeypatch.setattr(problems, "ThreadPoolExecutor", no_pool)
+        xis = elliptic.draw_samples(np.random.default_rng(25),
+                                    2 * problems._CHUNK + 1)
+        elliptic.averaged_grad(np.ones(elliptic.dim),
+                               np.random.default_rng(26), 13)
+        elliptic.mean_grad(np.ones(elliptic.dim), xis)
+
+    def test_yielded_results_are_not_kept(self, monkeypatch):
+        # the lanes' map drops each result once yielded (estimate_L's 1000
+        # gradients would otherwise stay alive until its last draw)
+        monkeypatch.setattr(problems, "_lane_count", lambda: 2)
+        refs = []
+        with problems._lanes(6) as lanes_map:
+            for result in lanes_map(lambda item: np.full(3, float(item)),
+                                    range(6)):
+                refs.append(weakref.ref(result))
+                del result
+                assert all(ref() is None for ref in refs[:-1])
+        assert len(refs) == 6
 
     def test_failed_pass_stops_its_work(self, monkeypatch):
         # item 0 fails while item 1 runs: the block raises item 0's error,
