@@ -39,31 +39,31 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
+def _out_dir(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg with its output directory ("out" by default), made here, as a Path."""
     out = Path(cfg.out_dir or "out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make the output directory {out}: "
                           f"{exc.strerror}") from exc
-    return out
+    return replace(cfg, out_dir=out)
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    harness.run_experiment(cfg, out_dir=out)
+    cfg = _out_dir(_load_config(args))
+    harness.run_experiment(cfg)
+    out = cfg.out_dir
     print(f"wrote {out / 'records.csv'} and {out / 'summary.json'}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(cfg)
-    records = harness.run_experiment(cfg, out_dir=out)
+    cfg = _out_dir(_load_config(args))
+    records = harness.run_experiment(cfg)
     emit_svg({method: harness.mean_by_k(records, method, "objective")
-              for method in cfg.methods}, out / "compare.svg")
-    print(f"wrote {out / 'compare.svg'}")
+              for method in cfg.methods}, cfg.out_dir / "compare.svg")
+    print(f"wrote {cfg.out_dir / 'compare.svg'}")
     return 0
 
 
@@ -74,10 +74,10 @@ def cmd_sparsity_table(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--betas must be comma-separated numbers, "
                           f"got {args.betas!r}") from exc
-    out = _out_dir(cfg)
+    cfg = _out_dir(cfg)
     table = harness.sparsity_table(cfg, betas)
     payload = {"betas": betas, "fractions": table}
-    with open(out / "sparsity_table.json", "w") as fh:
+    with open(cfg.out_dir / "sparsity_table.json", "w") as fh:
         json.dump(payload, fh, indent=2)
     for rule, fracs in table.items():
         print(rule, " ".join(f"{f:.4f}" for f in fracs))
@@ -91,12 +91,12 @@ def cmd_envelope(args) -> int:
                           f"got runs={cfg.runs}")
     if len(cfg.methods) != 1:
         cfg = replace(cfg, methods=("admm",))
-    out = _out_dir(cfg)
-    records = harness.run_experiment(cfg, out_dir=out)
+    cfg = _out_dir(cfg)
+    records = harness.run_experiment(cfg)
     env = harness.envelope(records)
     emit_svg({"min": (env.k, env.min), "mean": (env.k, env.mean),
-              "max": (env.k, env.max)}, out / "envelope.svg")
-    print(f"wrote {out / 'envelope.svg'}")
+              "max": (env.k, env.max)}, cfg.out_dir / "envelope.svg")
+    print(f"wrote {cfg.out_dir / 'envelope.svg'}")
     return 0
 
 
@@ -114,8 +114,9 @@ def cmd_rate(args) -> int:
         raise ConfigError(f"K={cfg.K} leaves {max(n_points, 0)} iterations "
                           f"in [{k_range[0]}, {k_range[1]}]; the slope fit "
                           "needs at least 5 (see --k-min and --k-max)")
-    out = _out_dir(cfg) if cfg.out_dir else None
-    records = harness.run_experiment(cfg, out_dir=out)
+    if cfg.out_dir:
+        cfg = _out_dir(cfg)
+    records = harness.run_experiment(cfg)
     ref = reference_optimum(harness.build_problem(cfg))
     slope = harness.fit_rate_slope(records, k_range, ref.objective)
     print(f"objective-gap log-log slope over k in {k_range}: {slope:.4f}")

@@ -125,7 +125,7 @@ class StructuredMesh:
         # (1 + delta_ij) is area/3 = h^2/6 per triangle
         self.lumped = check_weights(
             np.bincount(self.triangles.ravel(), minlength=self.n_nodes)
-            * (h * h / 6.0), domain_area=1.0)
+            * (h * h / 6.0))
 
         # the interior node k is grid node (i + 1, j + 1), (j, i) = divmod(k,
         # side); red nodes have i + j even

@@ -39,9 +39,8 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-_COUNT_FIELDS = ("K", "runs", "eval_samples", "seed", "quad_dim", "batch_floor",
-                 "l_est_calls")
-_FLOAT_FIELDS = ("alpha", "beta", "mu", "mesh_h", "u_min", "u_max", "quad_sigma")
+_COUNT_FIELDS = ("K", "runs", "eval_samples", "seed", "quad_dim", "batch_floor")
+_FLOAT_FIELDS = ("alpha", "beta", "mu", "mesh_h", "quad_sigma")
 
 
 @dataclass
@@ -60,12 +59,9 @@ class ExperimentConfig:
     batch_rule: str = "paper_power"
     batch_floor: int = 1
     out_dir: str | None = None
-    u_min: float = -6.0
-    u_max: float = 6.0
     # quadratic instance knobs
     quad_dim: int = 50
     quad_sigma: float = 0.1
-    l_est_calls: int = 1000
 
     def __post_init__(self):
         # a float or bool count would fail (or silently truncate) deep in a
@@ -75,11 +71,16 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         # NaN passes the range checks below, and NaN or inf fails every run;
-        # a bool is a numbers.Real, and true would run as 1.0
+        # a bool is a numbers.Real, and true would run as 1.0; an integer
+        # beyond the float range makes math.isfinite raise OverflowError
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):
+                finite = False
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
+                    or not finite):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
             raise ConfigError(f"out_dir must be a path, got {self.out_dir!r}")
@@ -89,7 +90,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.regime not in ("strongly_convex", "convex"):
             raise ConfigError(f"unknown regime {self.regime!r}")
-        for name in ("runs", "eval_samples", "K", "batch_floor", "l_est_calls"):
+        for name in ("runs", "eval_samples", "K", "batch_floor"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if isinstance(self.methods, str):  # tuple() would split it into letters
@@ -116,8 +117,6 @@ class ExperimentConfig:
                 and self.beta == 0.0):
             raise ConfigError("the convex regime's admm (rho = beta) requires "
                               "beta > 0")
-        if self.u_min >= self.u_max:
-            raise ConfigError(f"u_min={self.u_min} must be below u_max={self.u_max}")
         if self.batch_rule not in ("paper_power", "constant"):
             raise ConfigError(f"unknown batch_rule {self.batch_rule!r}; "
                               "expected 'paper_power' or 'constant'")
@@ -154,14 +153,16 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
+                d = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file {path} is not UTF-8 text: "
                               f"{exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # a JSONDecodeError, or an integer too long to convert
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+        return cls.from_dict(d)
 
 
 @dataclass
@@ -199,14 +200,13 @@ def _rng(*key) -> np.random.Generator:
 def build_problem(cfg: ExperimentConfig):
     if cfg.problem == "elliptic":
         return EllipticControlProblem(fem.StructuredMesh(cfg.mesh_h), cfg.alpha,
-                                      cfg.beta, u_min=cfg.u_min, u_max=cfg.u_max)
+                                      cfg.beta)
     rng = _rng(cfg.seed, _QUAD_TAG)
     n = cfg.quad_dim
     G = rng.standard_normal((n, n))
     A = G * (math.sqrt(0.1) / np.linalg.norm(G, 2))
     b = A @ rng.uniform(-8.0, 8.0, size=n)
-    return QuadraticProblem(A, b, cfg.alpha, cfg.beta, u_min=cfg.u_min,
-                            u_max=cfg.u_max, sigma=cfg.quad_sigma)
+    return QuadraticProblem(A, b, cfg.alpha, cfg.beta, sigma=cfg.quad_sigma)
 
 
 def _run_rng(cfg: ExperimentConfig, method: str, run_idx: int):
@@ -225,7 +225,7 @@ def build_eval_set(cfg: ExperimentConfig, problem):
 
 
 def make_solver(method: str, cfg: ExperimentConfig, problem, batch,
-                l_hat: float | None = None):
+                l_hat: float | None):
     if method == "admm":
         params = (derive_strongly_convex_params(cfg.alpha, cfg.mu)
                   if cfg.regime == "strongly_convex"
@@ -246,7 +246,7 @@ def sparsity_fraction(u: np.ndarray, w: np.ndarray) -> float:
     return float(w[np.abs(u) > 1e-12].sum() / w.sum())
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
+def run_experiment(cfg: ExperimentConfig) -> list:
     """Run every configured method x run combination on derived seeds.
 
     All methods share the frozen evaluation sample set and the batch
@@ -260,15 +260,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
     scored as soon as it finishes and its iterates are not kept.
     Returns one RunRecord per (method, run), in that order; failed runs are
     logged and skipped so that the remaining runs still complete. A failure
-    while scoring drops every run of that scoring call.
+    while scoring drops every run of that scoring call. When cfg.out_dir is
+    set, the rows go to records.csv and the summary to summary.json there.
     """
     problem = build_problem(cfg)
     scorer = build_eval_set(cfg, problem)
     batch = BatchSchedule(rule=cfg.batch_rule, floor=cfg.batch_floor)
 
     needs_l = cfg.regime == "convex" or "spg" in cfg.methods
-    l_hat = (estimate_L(problem, np.zeros(problem.dim), _rng(cfg.seed, _LHAT_TAG),
-                        n_calls=cfg.l_est_calls) if needs_l else None)
+    l_hat = (estimate_L(problem, np.zeros(problem.dim), _rng(cfg.seed, _LHAT_TAG))
+             if needs_l else None)
 
     w = problem.weights
     records = []
@@ -302,18 +303,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
             rec = RunRecord(method=method, run_seed=run_seed, rows=[])
             iterates = []
 
-            def hook(k, sfo_calls, elapsed, state, _rows=rec.rows,
-                     _iterates=iterates, _method=method, _seed=run_seed):
+            def hook(k, sfo_calls, elapsed, state):
+                # run_solver calls it within this iteration of the loop
                 u, z = solver.views(state)
                 # every step returns a fresh u, so keeping it needs no copy;
                 # the objective is scored after the run
-                _iterates.append(u)
-                _rows.append(RunRow(
+                iterates.append(u)
+                rec.rows.append(RunRow(
                     k=k, sfo_calls=sfo_calls, wall_seconds=elapsed,
                     objective=math.nan,
                     feasibility=wnorm(u - z, w),
                     sparsity=sparsity_fraction(z, w),
-                    method=_method, run_seed=_seed))
+                    method=method, run_seed=run_seed))
 
             try:
                 run_solver(solver, cfg.K, rng, hook=hook)
@@ -326,8 +327,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> list:
     if pending:
         score()
 
-    if out_dir is not None:
-        out = Path(out_dir)
+    if cfg.out_dir:
+        out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         emit_csv([r for rec in records for r in rec.rows], out / "records.csv")
         _write_summary(records, out / "summary.json")
@@ -423,7 +424,8 @@ def sparsity_table(cfg: ExperimentConfig, beta_list) -> dict:
     # objective, so one eval sample keeps scoring cheap (200 would add about
     # 8 s to criterion 10)
     configs = {name: [replace(cfg, beta=beta, methods=("admm",),
-                              eval_samples=1, **rule) for beta in beta_list]
+                              eval_samples=1, out_dir=None, **rule)
+                      for beta in beta_list]
                for name, rule in rules.items()}
     table = {}
     for name, rule_configs in configs.items():

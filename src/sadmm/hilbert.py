@@ -10,19 +10,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_weights(w: np.ndarray, domain_area: float | None = None) -> np.ndarray:
-    """Validate lumped weights: strictly positive, optionally summing to the domain area."""
+def check_weights(w: np.ndarray) -> np.ndarray:
+    """Check lumped weights: positive, summing to the unit square's area 1."""
     w = np.asarray(w, dtype=float)
     if w.ndim != 1:
         raise ValueError(f"weights must be 1-d, got shape {w.shape}")
     if not np.all(w > 0.0):
         raise ValueError("weights must be strictly positive")
-    if domain_area is not None:
-        total = float(w.sum())
-        if abs(total - domain_area) > 1e-10 * max(1.0, abs(domain_area)):
-            raise ValueError(
-                f"weights sum {total} differs from domain area {domain_area}"
-            )
+    total = float(w.sum())
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"weights sum {total} differs from the domain area 1")
     return w
 
 

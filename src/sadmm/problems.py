@@ -28,6 +28,8 @@ _CHUNK = 6
 # which bounds the working memory of scoring every iterate of an experiment
 # in one call (BENCH_stream_eval.json).
 _COLUMNS = 64
+# The admissible control set of both problems: u_min <= u <= u_max, entrywise.
+BOX = (-6.0, 6.0)
 # The quadratic oracle draws its noise in blocks of at most this many doubles
 # (64 KiB): one draw per block instead of one per sample, and no block large
 # enough to be mapped and faulted in afresh (BENCH_quadratic_draws.json).
@@ -81,7 +83,7 @@ class EllipticControlProblem:
 
     Smooth part: E[ 0.5 ||y(u, xi) - y_d||^2 ] + (alpha/2) ||u||^2 in the
     lumped L2 inner product; nonsmooth part: beta * ||u||_L1, with box
-    constraints [u_min, u_max].
+    constraints BOX = [u_min, u_max].
 
     The control is discretized on the interior nodes: under the lumped-load
     quadrature a boundary control value never enters the state equation (its
@@ -97,19 +99,15 @@ class EllipticControlProblem:
     lane.
     """
 
-    def __init__(self, mesh: fem.StructuredMesh, alpha: float, beta: float,
-                 u_min: float = -6.0, u_max: float = 6.0):
+    u_min, u_max = BOX
+
+    def __init__(self, mesh: fem.StructuredMesh, alpha: float, beta: float):
         if alpha < 0.0 or beta < 0.0:
             raise ValueError("alpha and beta must be nonnegative")
-        if u_min >= u_max:
-            raise ValueError(f"u_min={u_min} must be below u_max={u_max}")
         self.mesh = mesh
         self.alpha = alpha
         self.beta = beta
-        self.u_min = u_min
-        self.u_max = u_max
-        self.state_weights = mesh.lumped
-        self.weights = self.state_weights[mesh.interior]
+        self.weights = mesh.lumped[mesh.interior]
         self.y_d = fem.checkerboard_target(mesh)
         self.y_d_interior = self.y_d[mesh.interior]
         # the free list of factor storage for _CHUNK samples (see factored)
@@ -184,7 +182,7 @@ class EllipticControlProblem:
         # the tracking term spans all nodes; the state is 0 on the boundary
         y = np.zeros(self.mesh.n_nodes)
         y[self.mesh.interior] = fem.solve_state(fem.factor(self.mesh, xi), u)[0]
-        return (0.5 * wnorm(y - self.y_d, self.state_weights) ** 2
+        return (0.5 * wnorm(y - self.y_d, self.mesh.lumped) ** 2
                 + 0.5 * self.alpha * wnorm(u, self.weights) ** 2)
 
     def mean_grad(self, u: np.ndarray, xis: np.ndarray) -> np.ndarray:
@@ -202,12 +200,12 @@ class QuadraticProblem:
     beta*||u||_1 nonsmooth part, box constraints, additive Gaussian gradient
     noise of scale sigma (an exactly unbiased, variance-bounded oracle)."""
 
+    u_min, u_max = BOX
+
     def __init__(self, A: np.ndarray, b: np.ndarray, alpha: float, beta: float,
-                 u_min: float = -6.0, u_max: float = 6.0, sigma: float = 0.0):
+                 sigma: float = 0.0):
         if sigma < 0.0:
             raise ValueError("sigma must be nonnegative")
-        if u_min >= u_max:
-            raise ValueError(f"u_min={u_min} must be below u_max={u_max}")
         self.A = np.asarray(A, dtype=float)
         self.b = np.asarray(b, dtype=float)
         if self.A.shape[0] != self.b.shape[0]:
@@ -215,8 +213,6 @@ class QuadraticProblem:
         self.alpha = alpha
         self.beta = beta
         self.sigma = sigma
-        self.u_min = u_min
-        self.u_max = u_max
         self.weights = np.ones(self.A.shape[1])
 
     @property
@@ -320,7 +316,7 @@ class FrozenEvalSet:
         # ||y - y_d||_W^2 is the same for every u and every sample
         y_d_b = problem.y_d[mesh.boundary_mask]
         self._boundary_sq = wdot(y_d_b, y_d_b,
-                                 problem.state_weights[mesh.boundary_mask])
+                                 mesh.lumped[mesh.boundary_mask])
 
     def objective(self, u: np.ndarray) -> float | np.ndarray:
         """Mean smooth value at u plus the L1 term at u.

@@ -4,6 +4,8 @@ Each test prints a single pass/fail line on the live terminal (capture is
 suspended for that one line) and then asserts.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,8 @@ def report(capsys, number, passed, detail):
 
 def quadratic_cfg(**overrides):
     base = dict(problem="quadratic", regime="strongly_convex", alpha=1.0,
-                beta=0.1, quad_dim=50, quad_sigma=0.1, u_min=-6.0, u_max=6.0,
-                seed=0, methods=("admm",), eval_samples=1)
+                beta=0.1, quad_dim=50, quad_sigma=0.1, seed=0,
+                methods=("admm",), eval_samples=1)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -221,8 +223,8 @@ def test_criterion_11_envelope_shrinkage(capsys):
 def test_criterion_12_determinism(capsys, tmp_path):
     cfg = elliptic_cfg(mesh_h=2.0 ** -4, K=10, runs=2, eval_samples=50,
                        methods=("admm", "spg", "ssg", "adasg"))
-    run_experiment(cfg, out_dir=tmp_path / "a")
-    run_experiment(cfg, out_dir=tmp_path / "b")
+    run_experiment(replace(cfg, out_dir=tmp_path / "a"))
+    run_experiment(replace(cfg, out_dir=tmp_path / "b"))
 
     def stable_lines(path):
         lines = []

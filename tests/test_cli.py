@@ -11,7 +11,7 @@ from sadmm.harness import CheckReport
 def write_cfg(tmp_path, **overrides):
     base = dict(problem="quadratic", regime="strongly_convex", alpha=1.0,
                 beta=0.1, quad_dim=6, quad_sigma=0.1, K=10, runs=2,
-                eval_samples=1, seed=0, methods=["admm"], l_est_calls=10)
+                eval_samples=1, seed=0, methods=["admm"])
     base.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(base))
@@ -26,14 +26,12 @@ def write_cfg(tmp_path, **overrides):
 # (true would run as 1.0), or an out_dir that is not a path, by the field the
 # error message must name; each field's configs are checked in turn
 REJECTED_BELOW_CONFIG = {
-    "l_est_calls": [{"l_est_calls": 0}],
     "mu": [{"mu": 1.5}],
     "batch_floor": [{"batch_floor": 0}],
     "quad_sigma": [{"quad_sigma": -1}],
     "mesh_h": [{"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.3},
                # one cell per side: no interior node, so no control
                {"problem": "elliptic", "alpha": 1e-4, "mesh_h": 1.0}],
-    "u_min": [{"u_min": 7.0}],
     "batch_rule": [{"batch_rule": "linear"}],
     "beta": [{"problem": "elliptic", "alpha": 1e-4, "mesh_h": 0.25, "beta": -1.0}],
     "quad_dim": [{"quad_dim": 0}],
@@ -42,9 +40,10 @@ REJECTED_BELOW_CONFIG = {
     "runs": [{"runs": 1.0}],
     "eval_samples": [{"eval_samples": True}],
     "seed": [{"seed": -1}],
-    "alpha": [{"alpha": float("nan")}, {"alpha": True}],
+    "alpha": [{"alpha": float("nan")}, {"alpha": True},
+              # an integer beyond the float range
+              {"alpha": 10 ** 400}],
     "out_dir": [{"out_dir": 5}],
-    "u_max": [{"u_max": float("inf")}],
 }
 
 
@@ -59,7 +58,11 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         for text, message in (("{oops", "invalid JSON"),
                               *((t, "a config is a JSON object")
-                                for t in ("5", "null", '"admm"', "[1, 2]"))):
+                                for t in ("5", "null", '"admm"', "[1, 2]")),
+                              # past Python's limit on the digits of an int,
+                              # json.load raises a plain ValueError
+                              ('{"alpha": 1' + "0" * 5000 + "}",
+                               "configuration error")):
             path.write_text(text)
             assert cli.main(["run", "--config", str(path)]) == 2
             assert message in capsys.readouterr().err
@@ -84,10 +87,14 @@ class TestExitCodes:
                              *(["--k-min", "1"] if command == "rate" else [])]) == 2
             assert f"output directory {out}:" in capsys.readouterr().err
 
-    def test_unknown_key_is_config_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"stepsize": 3}))
-        assert cli.main(["run", "--config", str(path)]) == 2
+    def test_unknown_key_is_config_error(self, tmp_path, capsys):
+        # the control box and estimate_L's draw count are constants, not
+        # config keys
+        for key, value in (("stepsize", 3), ("u_min", -6.0), ("u_max", 6.0),
+                           ("l_est_calls", 1000)):
+            cfg = write_cfg(tmp_path, **{key: value})
+            assert cli.main(["run", "--config", str(cfg)]) == 2
+            assert "unknown config keys" in capsys.readouterr().err
 
     def test_bad_method_override_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path)

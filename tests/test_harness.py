@@ -26,8 +26,7 @@ from test_problems import fail_in_helper_lanes
 def tiny_quadratic_cfg(**overrides):
     base = dict(problem="quadratic", regime="strongly_convex", alpha=1.0,
                 beta=0.1, quad_dim=8, quad_sigma=0.1, K=12, runs=2,
-                eval_samples=1, seed=0, methods=("admm", "spg", "ssg", "adasg"),
-                l_est_calls=10)
+                eval_samples=1, seed=0, methods=("admm", "spg", "ssg", "adasg"))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -54,13 +53,10 @@ class TestConfig:
         {"seed": np.float64(0.0)},
         {"quad_dim": 5.0},
         {"batch_floor": True},
-        {"l_est_calls": 10.0},
         {"alpha": float("nan")},
         {"alpha": float("inf")},
         {"beta": float("nan")},
         {"mu": float("nan")},
-        {"u_min": float("-inf")},
-        {"u_max": float("nan")},
         {"quad_sigma": float("nan")},
         {"quad_sigma": float("inf")},
         {"problem": "quadratic", "mesh_h": float("nan")},
@@ -69,6 +65,8 @@ class TestConfig:
         # a bool is a numbers.Real, and true would run as 1.0
         {"alpha": True},
         {"beta": True},
+        # an integer beyond the float range, as JSON can write one
+        {"alpha": 10 ** 400},
         # an out_dir that is not a path
         {"out_dir": 5},
         {"out_dir": ["out"]},
@@ -198,8 +196,8 @@ class TestBuildProblem:
 
 class TestRunExperiment:
     def test_record_shape_and_budgets(self, tmp_path):
-        cfg = tiny_quadratic_cfg(out_dir=None)
-        records = run_experiment(cfg, out_dir=tmp_path)
+        cfg = tiny_quadratic_cfg(out_dir=tmp_path)
+        records = run_experiment(cfg)
         assert len(records) == len(cfg.methods) * cfg.runs
         for rec in records:
             assert len(rec.rows) == cfg.K
@@ -215,8 +213,8 @@ class TestRunExperiment:
 
     def test_deterministic_given_seed(self, tmp_path):
         cfg = tiny_quadratic_cfg(methods=("admm", "ssg"))
-        run_experiment(cfg, out_dir=tmp_path / "a")
-        run_experiment(cfg, out_dir=tmp_path / "b")
+        run_experiment(replace(cfg, out_dir=tmp_path / "a"))
+        run_experiment(replace(cfg, out_dir=tmp_path / "b"))
 
         def stable_cells(out):
             # every cell but wall_seconds
@@ -226,6 +224,16 @@ class TestRunExperiment:
         cells = stable_cells(tmp_path / "a")
         assert len(cells) == 1 + len(cfg.methods) * cfg.runs * cfg.K
         assert cells == stable_cells(tmp_path / "b")
+
+    def test_writes_where_its_config_says(self, tmp_path, monkeypatch):
+        # the files go to cfg.out_dir, and nowhere without one
+        monkeypatch.chdir(tmp_path)
+        cfg = tiny_quadratic_cfg(methods=("admm",))
+        run_experiment(cfg)
+        assert not any(tmp_path.iterdir())
+        run_experiment(replace(cfg, out_dir=tmp_path / "out"))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "records.csv", "summary.json"]
 
     def test_runs_differ_across_run_index(self):
         cfg = tiny_quadratic_cfg(methods=("admm",), runs=3)

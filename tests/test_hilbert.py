@@ -28,10 +28,12 @@ class TestValidation:
             check_weights(np.array([1.0, -0.5]))
 
     def test_check_weights_domain_area(self):
+        # the weights of the unit square sum to its area, 1
         w = np.full(4, 0.25)
-        np.testing.assert_array_equal(check_weights(w, domain_area=1.0), w)
-        with pytest.raises(ValueError, match="differs from domain area"):
-            check_weights(w, domain_area=2.0)
+        np.testing.assert_array_equal(check_weights(w), w)
+        for bad in (np.full(4, 0.5), np.full(4, 0.25 - 1e-9)):
+            with pytest.raises(ValueError, match="differs from the domain area"):
+                check_weights(bad)
 
     def test_wdot_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):

@@ -15,11 +15,11 @@ from sadmm.optim import (AdaSgSolver, AdmmParams, AdmmSolver, BatchSchedule,
 from sadmm.problems import QuadraticProblem, reference_optimum
 
 
-def make_problem(dim=10, alpha=1.0, beta=0.2, sigma=0.1, seed=0, **kw):
+def make_problem(dim=10, alpha=1.0, beta=0.2, sigma=0.1, seed=0):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((dim, dim)) / dim
     b = rng.standard_normal(dim)
-    return QuadraticProblem(A, b, alpha, beta, sigma=sigma, **kw)
+    return QuadraticProblem(A, b, alpha, beta, sigma=sigma)
 
 
 def oracle_step(solver, state, rng):
@@ -105,7 +105,9 @@ class TestBatchSchedule:
 
 class TestAdmmStep:
     def setup_method(self):
-        self.prob = make_problem(u_min=-2.0, u_max=2.0)
+        # a box the iterates hit, so that the projection tests bite
+        self.prob = make_problem()
+        self.prob.u_min, self.prob.u_max = -2.0, 2.0
         self.params = derive_strongly_convex_params(self.prob.alpha, 0.5)
         self.solver = AdmmSolver(self.prob, self.params, BatchSchedule())
 
